@@ -10,11 +10,12 @@ import (
 
 // This file is the blocking and lifecycle surface of the public API:
 // Close with linearizable close-after-drain semantics, close-aware
-// TryEnqueue variants, and context-aware blocking dequeues, on all four
-// frontends (Queue, HPQueue, the sharded backend behind WithShards, and
-// Handle). The machinery lives in internal/waiter; see ALGORITHM.md,
-// "Blocking and termination", for why parking preserves the wait-free
-// progress claims.
+// TryEnqueue variants, and context-aware blocking dequeues, on Queue
+// (whatever its engine: linked, hazard-pointer, ring, or sharded) and
+// on Handle. It is the only lifecycle layer — the engines underneath
+// know nothing of closing or parking. The machinery lives in
+// internal/waiter; see ALGORITHM.md, "Blocking and termination", for
+// why parking preserves the wait-free progress claims.
 
 // ErrClosed reports an operation on a closed queue: a TryEnqueue after
 // Close, or a blocking dequeue after Close once every pending element
@@ -52,10 +53,45 @@ func (q *Queue[T]) TryEnqueue(tid int, v T) error {
 	if !q.g.Enter(tid) {
 		return ErrClosed
 	}
-	q.q.Enqueue(tid, v)
+	q.e.Enqueue(tid, v)
 	q.g.Exit(tid)
 	q.g.Notify(tid)
 	return nil
+}
+
+// ticketer is the sharded engine's dispatch-ticket view.
+type ticketer[T any] interface {
+	EnqueueTicket(tid int, v T) uint64
+	DequeueTicket(tid int) (v T, ok bool, ticket uint64)
+}
+
+// TryEnqueueTicket is TryEnqueue also returning the dispatch ticket the
+// element drew: on a WithShards queue, ticket mod Shards() is the shard
+// it landed in; unsharded, the ticket is always 0. It and DequeueTicket
+// exist for linearizability checkers, which partition a sharded
+// queue's history by shard.
+func (q *Queue[T]) TryEnqueueTicket(tid int, v T) (uint64, error) {
+	tk, ok := q.e.(ticketer[T])
+	if !ok {
+		return 0, q.TryEnqueue(tid, v)
+	}
+	if !q.g.Enter(tid) {
+		return 0, ErrClosed
+	}
+	t := tk.EnqueueTicket(tid, v)
+	q.g.Exit(tid)
+	q.g.Notify(tid)
+	return t, nil
+}
+
+// DequeueTicket is Dequeue also returning the dispatch ticket the
+// operation drew (see TryEnqueueTicket).
+func (q *Queue[T]) DequeueTicket(tid int) (v T, ok bool, ticket uint64) {
+	if tk, isSharded := q.e.(ticketer[T]); isSharded {
+		return tk.DequeueTicket(tid)
+	}
+	v, ok = q.e.Dequeue(tid)
+	return v, ok, 0
 }
 
 // TryEnqueueBatch is EnqueueBatch that fails with ErrClosed instead of
@@ -66,7 +102,7 @@ func (q *Queue[T]) TryEnqueueBatch(tid int, vs []T) error {
 	if !q.g.Enter(tid) {
 		return ErrClosed
 	}
-	q.enqueueBatch(tid, vs)
+	q.e.EnqueueBatch(tid, vs)
 	q.g.Exit(tid)
 	q.g.Notify(tid)
 	return nil
@@ -97,32 +133,18 @@ func (q *Queue[T]) DequeueBatchCtx(ctx context.Context, tid int, dst []T) (int, 
 	return n, wrapCtxErr(err)
 }
 
-// singleSource adapts an unsharded backend to the waiter.Source view.
-// Drained is unconditionally true: a single KP (or HP) queue's empty
-// dequeue result linearizes as genuine emptiness — there is no "element
-// hiding elsewhere" as in the sharded frontend — and after Close has
-// quiesced the enqueue side (the only state in which the park loop
-// consults Drained), emptiness is permanent.
-type singleSource[T any] struct{ q backend[T] }
+// singleSource is the waiter.Source view of an unsharded queue: the
+// facade itself under a second method set, so building it allocates
+// nothing. Drained is unconditionally true: a single KP (HP, ring)
+// queue's empty dequeue result linearizes as genuine emptiness — there
+// is no "element hiding elsewhere" as in the sharded engine — and after
+// Close has quiesced the enqueue side (the only state in which the park
+// loop consults Drained), emptiness is permanent.
+type singleSource[T any] Queue[T]
 
-func (s singleSource[T]) Dequeue(tid int) (T, bool) { return s.q.Dequeue(tid) }
-func (s singleSource[T]) Drained() bool             { return true }
-
-func (s singleSource[T]) DequeueBatch(tid int, dst []T) int {
-	if b, ok := s.q.(batcher[T]); ok {
-		return b.DequeueBatch(tid, dst)
-	}
-	n := 0
-	for n < len(dst) {
-		v, ok := s.q.Dequeue(tid)
-		if !ok {
-			break
-		}
-		dst[n] = v
-		n++
-	}
-	return n
-}
+func (s *singleSource[T]) Dequeue(tid int) (T, bool)         { return s.e.Dequeue(tid) }
+func (s *singleSource[T]) DequeueBatch(tid int, dst []T) int { return s.e.DequeueBatch(tid, dst) }
+func (s *singleSource[T]) Drained() bool                     { return true }
 
 // Err implements waiter.Liveness for Handle: ErrReleased once the
 // lease's generation is retired. The blocking loops check it at the top
@@ -159,52 +181,6 @@ func (h *Handle[T]) DequeueBatchCtx(ctx context.Context, dst []T) (int, error) {
 	return n, wrapCtxErr(err)
 }
 
-// Close closes the handle's queue; see Queue.Close.
-func (q *HPQueue[T]) Close() error { return q.g.Close() }
-
-// Closed reports whether Close has begun.
-func (q *HPQueue[T]) Closed() bool { return q.g.Closed() }
-
-// TryEnqueue is the close-aware, waiter-notifying enqueue; see
-// Queue.TryEnqueue.
-func (q *HPQueue[T]) TryEnqueue(tid int, v T) error {
-	if !q.g.Enter(tid) {
-		return ErrClosed
-	}
-	q.q.Enqueue(tid, v)
-	q.g.Exit(tid)
-	q.g.Notify(tid)
-	return nil
-}
-
-// TryEnqueueBatch is the close-aware batch enqueue; see
-// Queue.TryEnqueueBatch.
-func (q *HPQueue[T]) TryEnqueueBatch(tid int, vs []T) error {
-	if !q.g.Enter(tid) {
-		return ErrClosed
-	}
-	q.q.EnqueueBatch(tid, vs)
-	q.g.Exit(tid)
-	q.g.Notify(tid)
-	return nil
-}
-
-// DequeueCtx is the blocking dequeue; see Queue.DequeueCtx.
-func (q *HPQueue[T]) DequeueCtx(ctx context.Context, tid int) (T, error) {
-	v, err := waiter.DequeueCtx[T](ctx, q.g, q.src, nil, tid, waiter.DefaultSpin, 1)
-	return v, wrapCtxErr(err)
-}
-
-// DequeueBatchCtx is the blocking batch dequeue; see
-// Queue.DequeueBatchCtx.
-func (q *HPQueue[T]) DequeueBatchCtx(ctx context.Context, tid int, dst []T) (int, error) {
-	n, err := waiter.DequeueBatchCtx[T](ctx, q.g, q.src, nil, tid, waiter.DefaultSpin, 1, dst)
-	return n, wrapCtxErr(err)
-}
-
-// Interface conformance: the int64 instantiations drive the harness's
+// Interface conformance: the int64 instantiation drives the harness's
 // blocking workloads and the soak tool's close-driven drain.
-var (
-	_ queues.Lifecycled = (*Queue[int64])(nil)
-	_ queues.Lifecycled = (*HPQueue[int64])(nil)
-)
+var _ queues.Lifecycled = (*Queue[int64])(nil)

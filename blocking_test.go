@@ -69,16 +69,27 @@ func TestCloseSemantics(t *testing.T) {
 }
 
 func TestEnqueuePanicsAfterClose(t *testing.T) {
-	q := New[int](2)
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Enqueue on closed queue did not panic")
+	for name, q := range map[string]*Queue[int]{"linked": New[int](2), "hp": NewHP[int](2, 0)} {
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	q.Enqueue(0, 1)
+		for op, enq := range map[string]func(){
+			"Enqueue":      func() { q.Enqueue(0, 1) },
+			"EnqueueBatch": func() { q.EnqueueBatch(0, []int{1}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: %s on closed queue did not panic", name, op)
+					}
+				}()
+				enq()
+			}()
+		}
+		if n := q.Len(); n != 0 {
+			t.Fatalf("%s: %d elements landed after Close", name, n)
+		}
+	}
 }
 
 func TestDequeueCtxCancellationAndDeadline(t *testing.T) {
@@ -108,8 +119,17 @@ func TestDequeueCtxCancellationAndDeadline(t *testing.T) {
 }
 
 func TestDequeueCtxWakesOnEnqueue(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		q := New[int](4, WithShards(shards))
+	for _, tc := range []struct {
+		name  string
+		q     *Queue[int]
+		plain bool // wake through the plain Enqueue, not TryEnqueue
+	}{
+		{name: "linked", q: New[int](4)},
+		{name: "sharded", q: New[int](4, WithShards(4))},
+		{name: "hp", q: NewHP[int](4, 0)},
+		{name: "hp-plain", q: NewHP[int](4, 0), plain: true},
+	} {
+		q := tc.q
 		got := make(chan int, 1)
 		go func() {
 			v, err := q.DequeueCtx(context.Background(), 0)
@@ -119,16 +139,18 @@ func TestDequeueCtxWakesOnEnqueue(t *testing.T) {
 			got <- v
 		}()
 		awaitWaiters(t, q.g.EC(), 1)
-		if err := q.TryEnqueue(1, 42); err != nil {
+		if tc.plain {
+			q.Enqueue(1, 42)
+		} else if err := q.TryEnqueue(1, 42); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case v := <-got:
 			if v != 42 {
-				t.Fatalf("shards=%d: got %d", shards, v)
+				t.Fatalf("%s: got %d", tc.name, v)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("shards=%d: enqueue did not wake the parked consumer", shards)
+			t.Fatalf("%s: enqueue did not wake the parked consumer", tc.name)
 		}
 	}
 }

@@ -5,8 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"wfq/internal/phase"
+	"wfq/internal/ring"
+	"wfq/internal/sharded"
 )
 
 // TestDeadlineErrorCompat pins the two-way errors.Is contract of the
@@ -37,14 +42,16 @@ func TestDeadlineErrorCompat(t *testing.T) {
 func TestDequeueCtxDeadlineTyped(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts []Option
+		q    *Queue[int]
 	}{
-		{name: "core"},
-		{name: "ring", opts: []Option{WithRing(0)}},
-		{name: "sharded", opts: []Option{WithShards(2)}},
+		{name: "core", q: New[int](4)},
+		{name: "ring", q: New[int](4, WithRing(0))},
+		{name: "sharded", q: New[int](4, WithShards(2))},
+		{name: "hp", q: NewHP[int](4, 0)},
+		{name: "hp-sharded", q: NewHP[int](4, 0, WithShards(4))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := New[int](4, tc.opts...)
+			q := tc.q
 
 			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 			defer cancel()
@@ -85,6 +92,51 @@ func TestDequeueCtxDeadlineTyped(t *testing.T) {
 				t.Fatalf("DequeueCtx with element: got (%v, %v), want (7, nil)", v, err)
 			}
 		})
+	}
+}
+
+// TestInapplicableOptionsRejected: an option the selected engine cannot
+// honour is a construction panic naming it, never a silent no-op.
+func TestInapplicableOptionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"WithVariant", func() { New[int](2, WithRing(0), WithVariant(Opt1)) }},
+		{"WithHelpChunk", func() { New[int](2, WithHelpChunk(2), WithRing(0)) }},
+		{"WithRandomHelping", func() { New[int](2, WithRing(0), WithRandomHelping()) }},
+		{"WithClearOnExit", func() { New[int](2, WithRing(0), WithClearOnExit()) }},
+		{"WithDescriptorCache", func() { New[int](2, WithRing(0), WithDescriptorCache()) }},
+		{"WithPhaseProvider", func() { New[int](2, WithRing(0), WithPhaseProvider(phase.NewFAA())) }},
+		{"WithValidationChecks", func() { New[int](2, WithRing(0), WithValidationChecks()) }},
+		{"WithMetrics", func() { New[int](2, WithRing(0), WithMetrics()) }},
+		{"WithArena", func() { New[int](2, WithShards(2), WithRing(0), WithArena(0)) }},
+		{"WithRing", func() { NewHP[int](2, 0, WithRing(0)) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.name) {
+					t.Fatalf("%s: panic %q does not name the option", tc.name, msg)
+				}
+			}()
+			tc.build()
+		}()
+	}
+
+	// WithFastPath applies to the ring too: its patience bounds the
+	// ring's fast path, sharded or not.
+	for _, q := range []*Queue[int]{
+		New[int](2, WithRing(0), WithFastPath(3)),
+		New[int](2, WithFastPath(3), WithRing(0), WithShards(2)),
+	} {
+		r, ok := q.e.(*ring.Queue[int])
+		if sh, isSharded := q.e.(*sharded.Queue[int]); isSharded {
+			r, ok = sh.Shard(1).(*ring.Queue[int])
+		}
+		if !ok || !r.Helping() || r.Patience() != 3 {
+			t.Fatalf("engine %T: want a helping ring with patience 3", q.e)
+		}
 	}
 }
 

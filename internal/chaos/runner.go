@@ -179,15 +179,17 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 		}, nil
 	case "sharded":
 		const nshards = 4
-		q := sharded.New[int64](nthreads, nshards, core.WithFastPath(core.DefaultPatience))
+		shards := make([]sharded.Shard[int64], nshards)
+		for i := range shards {
+			shards[i] = core.New[int64](nthreads, core.WithFastPath(core.DefaultPatience))
+		}
+		q := sharded.New[int64](nthreads, shards)
 		return &frontend{
 			name: name, patience: core.DefaultPatience, emptyRuns: 2 * nshards,
-			classes: AllClasses,
-			enq:     func(tid int, v int64) { q.EnqueueTicket(tid, v) },
-			deq:     q.Dequeue,
-			enqBatch: func(tid int, vs []int64) {
-				q.EnqueueBatch(tid, vs)
-			},
+			classes:  AllClasses,
+			enq:      q.Enqueue,
+			deq:      q.Dequeue,
+			enqBatch: q.EnqueueBatch,
 			deqBatch: q.DequeueBatch,
 			maxPhase: q.MaxObservedPhase,
 		}, nil
@@ -216,15 +218,13 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 			// boundary crossings, not just slot claims.
 			shards[i] = ring.New[int64](nthreads, 64, ring.WithoutHelping())
 		}
-		q := sharded.NewOf[int64](nthreads, shards)
+		q := sharded.New[int64](nthreads, shards)
 		return &frontend{
 			name: name, patience: 0, emptyRuns: 2 * nshards,
-			classes: Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry),
-			enq:     func(tid int, v int64) { q.EnqueueTicket(tid, v) },
-			deq:     q.Dequeue,
-			enqBatch: func(tid int, vs []int64) {
-				q.EnqueueBatch(tid, vs)
-			},
+			classes:  Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry),
+			enq:      q.Enqueue,
+			deq:      q.Dequeue,
+			enqBatch: q.EnqueueBatch,
 			deqBatch: q.DequeueBatch,
 			maxPhase: q.MaxObservedPhase,
 		}, nil
@@ -253,15 +253,13 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 			// dispatcher.
 			shards[i] = ring.New[int64](nthreads, 64, ring.WithPatience(0))
 		}
-		q := sharded.NewOf[int64](nthreads, shards)
+		q := sharded.New[int64](nthreads, shards)
 		return &frontend{
 			name: name, patience: 0, emptyRuns: 2 * nshards,
-			classes: Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry, ClassHelp, ClassTree),
-			enq:     func(tid int, v int64) { q.EnqueueTicket(tid, v) },
-			deq:     q.Dequeue,
-			enqBatch: func(tid int, vs []int64) {
-				q.EnqueueBatch(tid, vs)
-			},
+			classes:  Classes(ClassEnqCAS, ClassDeqCAS, ClassChain, ClassTicket, ClassRetry, ClassHelp, ClassTree),
+			enq:      q.Enqueue,
+			deq:      q.Dequeue,
+			enqBatch: q.EnqueueBatch,
 			deqBatch: q.DequeueBatch,
 			maxPhase: q.MaxObservedPhase,
 		}, nil

@@ -247,7 +247,9 @@ func TestBatchMixedStress(t *testing.T) {
 					tid := nthreads + slot
 					dst := make([]int64, k)
 					for drained := 0; drained < batches*k; {
-						n := q.DequeueBatch(tid, dst)
+						// Capped at the remaining quota: an overshoot would
+						// take elements another consumer needs to finish.
+						n := q.DequeueBatch(tid, dst[:min(k, batches*k-drained)])
 						for _, v := range dst[:n] {
 							if seen[slot][v] {
 								t.Errorf("value %d dequeued twice", v)

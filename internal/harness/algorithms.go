@@ -137,11 +137,7 @@ func RingLF() Algorithm {
 // to claim the slot.
 func ShardedRingWF() Algorithm {
 	return Algorithm{Name: "sharded ring WF", Shards: shardedDefault, New: func(n int) queues.Queue {
-		shards := make([]sharded.Shard[int64], shardedDefault)
-		for i := range shards {
-			shards[i] = ring.New[int64](n, 0)
-		}
-		return shardedBatch{sharded.NewOf[int64](n, shards)}
+		return newSharded(n, func() sharded.Shard[int64] { return ring.New[int64](n, 0) })
 	}}
 }
 
@@ -163,13 +159,15 @@ func FastWFHP() Algorithm {
 	}}
 }
 
-// shardedBatch adapts the frontend's ticket-returning EnqueueBatch to
-// the plain queues.Batcher signature (the batch workload does not care
-// which tickets a batch drew). Everything else — Ticketed, DequeueBatch,
-// Metrics — is promoted from the embedded frontend unchanged.
-type shardedBatch struct{ *sharded.Queue[int64] }
-
-func (a shardedBatch) EnqueueBatch(tid int, vs []int64) { a.Queue.EnqueueBatch(tid, vs) }
+// newSharded builds the stock sharded frontend for up to n threads:
+// shardedDefault shards from newShard behind one ticket dispatcher.
+func newSharded(n int, newShard func() sharded.Shard[int64]) *sharded.Queue[int64] {
+	shards := make([]sharded.Shard[int64], shardedDefault)
+	for i := range shards {
+		shards[i] = newShard()
+	}
+	return sharded.New[int64](n, shards)
+}
 
 // shardedDefault is the shard count of the stock sharded series — the
 // issue's acceptance configuration (8 shards × 8 threads).
@@ -181,8 +179,9 @@ const shardedDefault = 8
 // single-queue series to price the helping ceiling it removes.
 func ShardedWF() Algorithm {
 	return Algorithm{Name: "sharded WF", Shards: shardedDefault, New: func(n int) queues.Queue {
-		return shardedBatch{sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
-			core.WithDescriptorCache(), core.WithMetrics())}
+		return newSharded(n, func() sharded.Shard[int64] {
+			return core.New[int64](n, core.WithFastPath(0), core.WithDescriptorCache(), core.WithMetrics())
+		})
 	}}
 }
 
@@ -190,11 +189,9 @@ func ShardedWF() Algorithm {
 // (extended benchmarks only) — the no-GC build of the sharded series.
 func ShardedWFHP() Algorithm {
 	return Algorithm{Name: "sharded WF+HP", Shards: shardedDefault, New: func(n int) queues.Queue {
-		shards := make([]sharded.Shard[int64], shardedDefault)
-		for i := range shards {
-			shards[i] = core.NewHP[int64](n, 0, 0, core.WithFastPath(0), core.WithArena(0))
-		}
-		return shardedBatch{sharded.NewOf[int64](n, shards)}
+		return newSharded(n, func() sharded.Shard[int64] {
+			return core.NewHP[int64](n, 0, 0, core.WithFastPath(0), core.WithArena(0))
+		})
 	}}
 }
 
@@ -209,14 +206,29 @@ func BlockingWF() Algorithm {
 	}}
 }
 
-// BlockingShardedWF is the sharded frontend with its gate-tracked
-// enqueues and shared-drain-mask blocking dequeues — the configuration
-// of the blocking-workload acceptance experiment.
+// BlockingShardedWF is the public facade over the sharded frontend:
+// gate-tracked enqueues and shared-drain-mask blocking dequeues — the
+// configuration of the blocking-workload acceptance experiment.
 func BlockingShardedWF() Algorithm {
 	return Algorithm{Name: "blocking sharded WF", Shards: shardedDefault, New: func(n int) queues.Queue {
-		return shardedBatch{sharded.New[int64](n, shardedDefault, core.WithFastPath(0),
-			core.WithDescriptorCache())}
+		return ticketedFacade{wfq.New[int64](n, wfq.WithShards(shardedDefault),
+			wfq.WithFastPath(0), wfq.WithDescriptorCache())}
 	}}
+}
+
+// ticketedFacade fits a sharded facade's ticket-returning operations to
+// queues.Ticketed, so the checkers partition its histories by shard.
+// Everything else — Lifecycled, Batcher — is promoted from the facade.
+type ticketedFacade struct{ *wfq.Queue[int64] }
+
+// EnqueueTicket is the tracked enqueue; like Enqueue it panics on a
+// closed queue.
+func (a ticketedFacade) EnqueueTicket(tid int, v int64) uint64 {
+	t, err := a.TryEnqueueTicket(tid, v)
+	if err != nil {
+		panic("harness: EnqueueTicket on closed queue")
+	}
+	return t
 }
 
 // BaseWFClear is the base algorithm with the §3.3 dummy-descriptor

@@ -110,8 +110,8 @@ func (r BlockingResult) String() string {
 }
 
 // MeasureBlocking runs one blocking-workload measurement. The algorithm
-// must build a queues.Lifecycled queue (the wfq facade or the sharded
-// frontend): the run is terminated by Close, and park mode consumes
+// must build a queues.Lifecycled queue (the wfq facade, over any
+// engine): the run is terminated by Close, and park mode consumes
 // through DequeueCtx.
 func MeasureBlocking(alg Algorithm, cfg BlockingConfig, mode BlockingMode) (BlockingResult, error) {
 	cfg = cfg.withDefaults()

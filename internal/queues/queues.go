@@ -34,8 +34,9 @@ type Named interface {
 	Name() string
 }
 
-// Ticketed is implemented by sharded frontends (internal/sharded) whose
-// operations are dispatched by ticket. Drivers that need to reason about
+// Ticketed is implemented by sharded frontends (internal/sharded, and
+// the harness's adapter over a WithShards facade) whose operations are
+// dispatched by ticket. Drivers that need to reason about
 // dispatch — the soak tool's drain loop (Shards() consecutive empty
 // results prove emptiness once producers are quiescent) and the
 // linearizability checker (partition the history by ticket mod Shards())
@@ -53,10 +54,11 @@ type Ticketed interface {
 
 // Batcher is implemented by queues with first-class batch operations
 // (internal/core's chained-node EnqueueBatch and multi-claim
-// DequeueBatch, and the sharded frontend's ticket-batch forms). Drivers
-// that move elements in groups — the harness's batch workload, the
-// facade's batch API — type-assert to this interface and fall back to
-// loops of single operations when it is absent.
+// DequeueBatch, the ring's slot-run claims, the sharded frontend's
+// ticket-batch forms, and package wfq's Queue). Drivers that move
+// elements in groups — the harness's batch workload — type-assert to
+// this interface and fall back to loops of single operations when it is
+// absent.
 type Batcher interface {
 	Queue
 	// EnqueueBatch inserts vs in order. On a single queue the batch
@@ -69,7 +71,7 @@ type Batcher interface {
 }
 
 // Lifecycled is implemented by queues with the blocking/lifecycle layer
-// (package wfq's frontends and the sharded frontend): close-aware
+// (package wfq's Queue, over any engine): close-aware
 // enqueue, blocking context-aware dequeue, and Close with
 // close-after-drain semantics. Drivers that can terminate consumers by
 // closing the queue — the soak tool's drain, the harness's blocking

@@ -54,27 +54,22 @@ func (ns *Namespace) Capacity() int { return len(ns.taken) }
 // keeping the operation wait-free (at most maxPasses·n slot operations).
 const maxPasses = 8
 
-// Acquire claims a free virtual ID. ok is false when the name space is
-// exhausted: either a full pass observed every slot held (definitely ≥ n
-// concurrent holders at some instants), or maxPasses passes lost every
-// CAS race to churning concurrent claimants — callers should treat false
-// as backpressure. Acquire never blocks.
+// Acquire claims a free virtual ID. ok is false when maxPasses passes
+// found no slot to claim — every slot held, or every CAS lost to
+// churning concurrent claimants — and callers should treat it as
+// backpressure. One pass that sees every slot held proves nothing: it
+// observes the slots at different instants, so with fewer than n
+// concurrent holders each slot can be held just when the pass looks at
+// it. Acquire never blocks.
 func (ns *Namespace) Acquire() (id int, ok bool) {
 	n := len(ns.taken)
 	start := int(ns.hint.Add(1)-1) % n
 	for pass := 0; pass < maxPasses; pass++ {
-		sawFree := false
 		for i := 0; i < n; i++ {
 			s := (start + i) % n
-			if ns.taken[s].v.Load() == 0 {
-				sawFree = true
-				if ns.taken[s].v.CompareAndSwap(0, 1) {
-					return s, true
-				}
+			if ns.taken[s].v.Load() == 0 && ns.taken[s].v.CompareAndSwap(0, 1) {
+				return s, true
 			}
-		}
-		if !sawFree {
-			return -1, false // genuinely full during this pass
 		}
 		start = 0
 	}

@@ -16,9 +16,9 @@ import (
 func buildFuzzQueue(nshards, nthreads, flavor int) *Queue[int64] {
 	switch flavor % 3 {
 	case 0:
-		return New[int64](nthreads, nshards, core.WithFastPath(0))
+		return newUniform[int64](nthreads, nshards, core.WithFastPath(0))
 	case 1:
-		return New[int64](nthreads, nshards, core.WithVariant(core.VariantOpt12))
+		return newUniform[int64](nthreads, nshards, core.WithVariant(core.VariantOpt12))
 	default:
 		shards := make([]Shard[int64], nshards)
 		for i := range shards {
@@ -31,7 +31,7 @@ func buildFuzzQueue(nshards, nthreads, flavor int) *Queue[int64] {
 				shards[i] = core.New[int64](nthreads)
 			}
 		}
-		return NewOf[int64](nthreads, shards)
+		return New[int64](nthreads, shards)
 	}
 }
 
@@ -84,7 +84,7 @@ func FuzzSharded(f *testing.F) {
 					next++
 					vs[j] = next
 				}
-				first := q.EnqueueBatch(tid, vs)
+				first := q.EnqueueBatchTicket(tid, vs)
 				for j, v := range vs {
 					if want := ref.Enqueue(v); j == 0 && first != want {
 						t.Fatalf("step %d: batch first ticket %d, want %d", step, first, want)

@@ -47,7 +47,7 @@ func recordShardedHistory(q *Queue[int64], threads, ops int, seed uint64) []linc
 						vs[j] = int64(tid)<<32 | int64(i)<<8 | int64(j) | 1<<62
 						toks[j] = rec.BeginEnq(tid, vs[j])
 					}
-					first := q.EnqueueBatch(tid, vs)
+					first := q.EnqueueBatchTicket(tid, vs)
 					for j := range vs {
 						rec.SetShard(toks[j], int((first+uint64(j))%nsh))
 						rec.EndEnq(toks[j])
@@ -71,7 +71,7 @@ func TestShardedHistoriesLinearizable(t *testing.T) {
 	const threads, shards, ops, rounds = 8, 8, 10, 8
 	builders := map[string]func() *Queue[int64]{
 		"fast-uniform": func() *Queue[int64] {
-			return New[int64](threads, shards, core.WithFastPath(0))
+			return newUniform[int64](threads, shards, core.WithFastPath(0))
 		},
 		"mixed": func() *Queue[int64] {
 			sh := make([]Shard[int64], shards)
@@ -85,7 +85,7 @@ func TestShardedHistoriesLinearizable(t *testing.T) {
 					sh[i] = core.New[int64](threads, core.WithVariant(core.VariantOpt12))
 				}
 			}
-			return NewOf[int64](threads, sh)
+			return New[int64](threads, sh)
 		},
 	}
 	for name, build := range builders {

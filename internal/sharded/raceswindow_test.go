@@ -17,7 +17,7 @@ import (
 // surfaces for the next same-residue dequeue ticket after the append.
 func TestEnqueueTicketHandoffWindow(t *testing.T) {
 	const enq, deq = 0, 1
-	q := New[int64](2, 2)
+	q := newUniform[int64](2, 2)
 
 	parked := make(chan struct{})
 	resume := make(chan struct{})
@@ -81,7 +81,7 @@ func TestEnqueueTicketHandoffWindow(t *testing.T) {
 // complete with the shard's then-current head once resumed.
 func TestDequeueTicketOvertakeWindow(t *testing.T) {
 	const d1, d2, d3, enq = 1, 2, 3, 0
-	q := New[int64](4, 2)
+	q := newUniform[int64](4, 2)
 	q.Enqueue(enq, 10) // ticket 0 -> shard 0
 	q.Enqueue(enq, 20) // ticket 1 -> shard 1
 	q.Enqueue(enq, 30) // ticket 2 -> shard 0

@@ -24,6 +24,15 @@
 // independent FIFO queues plus a wait-free dispatcher (a bag of FIFOs
 // keyed by ticket order) — not as a single FIFO. See ALGORITHM.md,
 // "Sharding: the ticket dispatcher".
+//
+// # Lifecycle
+//
+// The frontend has no close or blocking API of its own: package wfq
+// wraps it, like every engine, in the one lifecycle layer. What stays
+// here is what only the dispatcher can know — the gate the facade
+// drives (Gate) and the post-close drain mask its dequeues feed
+// (Drained), which proves every shard empty once the enqueue side has
+// quiesced.
 package sharded
 
 import (
@@ -35,11 +44,12 @@ import (
 	"wfq/internal/yield"
 )
 
-// Shard is the per-shard queue contract. Both core queue flavours
-// (*core.Queue, *core.HPQueue) satisfy it.
+// Shard is the per-shard queue contract. Every engine (*core.Queue,
+// *core.HPQueue, *ring.Queue) satisfies it.
 type Shard[T any] interface {
 	Enqueue(tid int, v T)
 	Dequeue(tid int) (v T, ok bool)
+	EnqueueBatch(tid int, vs []T)
 	Len() int
 }
 
@@ -47,9 +57,9 @@ type Shard[T any] interface {
 // internal/core (adjacent-cacheline prefetcher pairs 64-byte lines).
 const sepBytes = 128
 
-// Queue is the sharded frontend. Create one with New (uniform core
-// shards) or NewOf (caller-built shards); all methods are safe for
-// concurrent use by up to NumThreads() threads with distinct tids.
+// Queue is the sharded frontend. Create one with New; all methods are
+// safe for concurrent use by up to NumThreads() threads with distinct
+// tids.
 type Queue[T any] struct {
 	// enqT and deqT are the dispatch ticket counters. They are the only
 	// shared-write words of the frontend itself, padded apart so
@@ -67,11 +77,10 @@ type Queue[T any] struct {
 	shards   []Shard[T]
 	nthreads int
 
-	// gate is the blocking/lifecycle layer: one eventcount + close
-	// state for the WHOLE frontend, not per shard — dequeue tickets
-	// roam every residue, so a per-shard waiter set could strand a
-	// consumer on a shard no element will reach. See internal/waiter
-	// and blocking.go.
+	// gate is the waiter set + close state the facade drives: one for
+	// the WHOLE frontend, not per shard — dequeue tickets roam every
+	// residue, so a per-shard waiter set could strand a consumer on a
+	// shard no element will reach. See internal/waiter.
 	gate *waiter.Gate
 	// drainMissed/drainLeft are the shared post-close drain mask: once
 	// the gate has quiesced (no tracked enqueue can land anymore), any
@@ -86,25 +95,10 @@ type Queue[T any] struct {
 	drainLeft   atomic.Int32
 }
 
-// New builds a frontend of nshards uniform shards, each a core queue for
-// up to nthreads threads configured by opts (variant, fast path, metrics,
-// ...). A core.WithShards option in opts is consumed by this layer and
-// ignored by the shards themselves.
-func New[T any](nthreads, nshards int, opts ...core.Option) *Queue[T] {
-	if nshards <= 0 {
-		panic("sharded: nshards must be positive")
-	}
-	shards := make([]Shard[T], nshards)
-	for i := range shards {
-		shards[i] = core.New[T](nthreads, opts...)
-	}
-	return NewOf[T](nthreads, shards)
-}
-
-// NewOf builds a frontend over caller-constructed shards — the hook for
-// mixing shard flavours (e.g. hazard-pointer shards, or different
-// variants per shard). Every shard must accept tids in [0, nthreads).
-func NewOf[T any](nthreads int, shards []Shard[T]) *Queue[T] {
+// New builds a frontend over caller-constructed shards — uniform or
+// mixed flavours (e.g. hazard-pointer shards, or different variants per
+// shard). Every shard must accept tids in [0, nthreads).
+func New[T any](nthreads int, shards []Shard[T]) *Queue[T] {
 	if len(shards) == 0 {
 		panic("sharded: need at least one shard")
 	}
@@ -179,23 +173,20 @@ func (q *Queue[T]) DequeueTicket(tid int) (v T, ok bool, ticket uint64) {
 	return v, ok, t
 }
 
-// Batcher is the optional chained-append contract of a shard. Both core
-// queue flavours satisfy it; a shard that does not is fed one element at
-// a time.
-type Batcher[T any] interface {
-	EnqueueBatch(tid int, vs []T)
-}
-
 // EnqueueBatch inserts vs with one ticket fetch-and-add for the whole
-// batch: the k elements take consecutive tickets t..t+k-1, so they fan
-// out round-robin across the shards exactly as k single enqueues would,
-// at one shared-counter RMW instead of k. A shard's whole ticket run
-// (every ⌈k/N⌉-th element, gathered in ticket order) is then appended as
-// ONE chained batch when the shard supports it (core.Queue.EnqueueBatch)
-// — one linearizing CAS per shard instead of one per element — so the
+// batch; see EnqueueBatchTicket.
+func (q *Queue[T]) EnqueueBatch(tid int, vs []T) { q.EnqueueBatchTicket(tid, vs) }
+
+// EnqueueBatchTicket inserts vs with one ticket fetch-and-add for the
+// whole batch: the k elements take consecutive tickets t..t+k-1, so
+// they fan out round-robin across the shards exactly as k single
+// enqueues would, at one shared-counter RMW instead of k. A shard's
+// whole ticket run (every ⌈k/N⌉-th element, gathered in ticket order)
+// is then appended as ONE shard batch (core.Queue.EnqueueBatch: one
+// linearizing CAS per shard instead of one per element), so the
 // per-shard FIFO order is exactly that of k single enqueues. It returns
 // the first ticket of the batch (meaningless when vs is empty).
-func (q *Queue[T]) EnqueueBatch(tid int, vs []T) uint64 {
+func (q *Queue[T]) EnqueueBatchTicket(tid int, vs []T) uint64 {
 	k := uint64(len(vs))
 	if k == 0 {
 		return 0
@@ -205,23 +196,16 @@ func (q *Queue[T]) EnqueueBatch(tid int, vs []T) uint64 {
 	if k == 1 || nsh == 1 {
 		// Degenerate fan-out: the whole batch is one shard's run.
 		shard := t % nsh
-		if b, ok := q.shards[shard].(Batcher[T]); ok {
-			// This loop exists only to emit one dispatch point per
-			// element (chaos/choreography hooks see batches as k
-			// tickets); without a hook it would be k wasted atomic
-			// loads on the hot path, hence the Enabled guard.
-			if yield.Enabled() {
-				for range vs {
-					yield.At(yield.SHEnqTicket, tid, int(shard))
-				}
-			}
-			b.EnqueueBatch(tid, vs)
-		} else {
-			for _, v := range vs {
+		// This loop exists only to emit one dispatch point per element
+		// (chaos/choreography hooks see batches as k tickets); without
+		// a hook it would be k wasted atomic loads on the hot path,
+		// hence the Enabled guard.
+		if yield.Enabled() {
+			for range vs {
 				yield.At(yield.SHEnqTicket, tid, int(shard))
-				q.shards[shard].Enqueue(tid, v)
 			}
 		}
+		q.shards[shard].EnqueueBatch(tid, vs)
 		return t
 	}
 	// General fan-out: stride-gather each shard's ticket run. Runs are
@@ -244,13 +228,7 @@ func (q *Queue[T]) EnqueueBatch(tid int, vs []T) uint64 {
 				yield.At(yield.SHEnqTicket, tid, int(shard))
 			}
 		}
-		if b, ok := q.shards[shard].(Batcher[T]); ok {
-			b.EnqueueBatch(tid, sub)
-		} else {
-			for _, v := range sub {
-				q.shards[shard].Enqueue(tid, v)
-			}
-		}
+		q.shards[shard].EnqueueBatch(tid, sub)
 	}
 	return t
 }
@@ -282,6 +260,25 @@ func (q *Queue[T]) DequeueBatch(tid int, dst []T) (n int) {
 		}
 	}
 	return n
+}
+
+// Gate exposes the frontend's waiter set and close state, so the facade
+// (package wfq) drives its blocking layer against the same gate whose
+// quiescence licenses the drain mask.
+func (q *Queue[T]) Gate() *waiter.Gate { return q.gate }
+
+// Drained reports whether, after Close quiesced the enqueue side, every
+// shard has been observed empty at least once. Implements
+// waiter.Source; meaningful only post-quiescence (false before).
+func (q *Queue[T]) Drained() bool { return q.drainLeft.Load() == 0 }
+
+// markDrained records a post-quiescence empty observation of shard s.
+// Shard emptiness is monotone once no enqueue can land, so the first
+// miss per shard decides it forever.
+func (q *Queue[T]) markDrained(s int) {
+	if !q.drainMissed[s].Swap(true) {
+		q.drainLeft.Add(-1)
+	}
 }
 
 // Len reports a racy snapshot of the total element count across shards.

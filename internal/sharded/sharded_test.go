@@ -8,11 +8,20 @@ import (
 	"wfq/internal/xrand"
 )
 
+// newUniform builds a frontend of nshards core queues configured by opts.
+func newUniform[T any](nthreads, nshards int, opts ...core.Option) *Queue[T] {
+	shards := make([]Shard[T], nshards)
+	for i := range shards {
+		shards[i] = core.New[T](nthreads, opts...)
+	}
+	return New[T](nthreads, shards)
+}
+
 // TestSequentialRoundRobin: single-threaded use of the sharded queue is
 // exact FIFO as long as no empty probe interleaves (the enqueue and
 // dequeue ticket streams then walk the same residue sequence).
 func TestSequentialRoundRobin(t *testing.T) {
-	q := New[int64](2, 3)
+	q := newUniform[int64](2, 3)
 	for v := int64(0); v < 20; v++ {
 		if ticket := q.EnqueueTicket(0, v); ticket != uint64(v) {
 			t.Fatalf("value %d got ticket %d", v, ticket)
@@ -40,7 +49,7 @@ func TestSequentialRoundRobin(t *testing.T) {
 // ticket, so a value enqueued into another shard needs a matching-residue
 // ticket to surface.
 func TestTicketBurnOnEmpty(t *testing.T) {
-	q := New[int64](1, 2)
+	q := newUniform[int64](1, 2)
 	q.Enqueue(0, 10) // ticket 0 -> shard 0
 	if v, ok := q.Dequeue(0); !ok || v != 10 {
 		t.Fatalf("(%d,%v)", v, ok)
@@ -64,11 +73,11 @@ func TestTicketBurnOnEmpty(t *testing.T) {
 // TestBatchTicketsAndFanout: one batch takes k consecutive tickets and
 // fans out exactly like k singles; DequeueBatch compacts in ticket order.
 func TestBatchTicketsAndFanout(t *testing.T) {
-	q := New[int64](2, 4)
-	if first := q.EnqueueBatch(0, []int64{0, 1, 2, 3, 4, 5}); first != 0 {
+	q := newUniform[int64](2, 4)
+	if first := q.EnqueueBatchTicket(0, []int64{0, 1, 2, 3, 4, 5}); first != 0 {
 		t.Fatalf("first ticket %d", first)
 	}
-	if first := q.EnqueueBatch(0, []int64{6, 7}); first != 6 {
+	if first := q.EnqueueBatchTicket(0, []int64{6, 7}); first != 6 {
 		t.Fatalf("second batch first ticket %d", first)
 	}
 	depths := q.ShardDepths()
@@ -90,21 +99,21 @@ func TestBatchTicketsAndFanout(t *testing.T) {
 	if n := q.DequeueBatch(1, dst[:5]); n != 0 {
 		t.Fatalf("empty batch got %d", n)
 	}
-	if q.EnqueueBatch(0, nil) != 0 || q.DequeueBatch(0, nil) != 0 {
+	if q.EnqueueBatchTicket(0, nil) != 0 || q.DequeueBatch(0, nil) != 0 {
 		t.Fatal("zero-length batches must be no-ops")
 	}
 }
 
-// TestNewOfMixedShards drives a frontend whose shards mix the GC fast
-// queue, the plain Opt12 queue, and the hazard-pointer queue.
-func TestNewOfMixedShards(t *testing.T) {
+// TestMixedShards drives a frontend whose shards mix the GC fast queue,
+// the plain Opt12 queue, and the hazard-pointer queue.
+func TestMixedShards(t *testing.T) {
 	const threads = 3
 	shards := []Shard[int64]{
 		core.New[int64](threads, core.WithFastPath(0)),
 		core.NewHP[int64](threads, 0, 0),
 		core.New[int64](threads, core.WithVariant(core.VariantOpt12)),
 	}
-	q := NewOf[int64](threads, shards)
+	q := New[int64](threads, shards)
 	for v := int64(0); v < 30; v++ {
 		q.Enqueue(int(v)%threads, v)
 	}
@@ -139,7 +148,7 @@ func drain(q *Queue[int64], tid int) []int64 {
 // -race in the tier-1 gate.
 func TestConservation8x8(t *testing.T) {
 	const threads, shards, perThread = 8, 8, 400
-	q := New[int64](threads, shards, core.WithFastPath(0))
+	q := newUniform[int64](threads, shards, core.WithFastPath(0))
 	var consumed sync.Map
 	var wg sync.WaitGroup
 	dequeued := make([]int, threads)
@@ -188,7 +197,7 @@ func TestConservation8x8(t *testing.T) {
 // -race-tested property; here we assert conservation and no duplicates).
 func TestStressMixedBatchSingle(t *testing.T) {
 	const threads, shards, iters = 6, 4, 300
-	q := New[int64](threads, shards, core.WithFastPath(0))
+	q := newUniform[int64](threads, shards, core.WithFastPath(0))
 	var consumed sync.Map
 	var produced, eaten [8]int64 // per-thread counters, padded enough for a test
 	var wg sync.WaitGroup
@@ -245,5 +254,47 @@ func TestStressMixedBatchSingle(t *testing.T) {
 	out += int64(len(drain(q, 0)))
 	if in != out {
 		t.Fatalf("conservation: %d in, %d out", in, out)
+	}
+}
+
+// TestDrainedProgression: the drain mask flips only after EVERY shard
+// has been observed empty after the gate quiesced, and the pre-close
+// elements come out first.
+func TestDrainedProgression(t *testing.T) {
+	q := newUniform[int](2, 2)
+	// Pre-close misses never count: the gate has not quiesced yet.
+	for i := 0; i < 2; i++ {
+		if _, ok := q.Dequeue(1); ok {
+			t.Fatal("phantom element")
+		}
+	}
+	if q.Drained() {
+		t.Fatal("Drained true before close")
+	}
+	for i := 1; i <= 4; i++ {
+		q.Enqueue(0, i)
+	}
+	if err := q.Gate().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if q.Drained() {
+		t.Fatal("Drained true with elements pending")
+	}
+	seen := map[int]bool{}
+	for i := 0; i < 4; i++ {
+		v, ok := q.Dequeue(1)
+		if !ok {
+			t.Fatalf("drain %d: shard empty with elements pending", i)
+		}
+		if seen[v] {
+			t.Fatalf("duplicate %d", v)
+		}
+		seen[v] = true
+	}
+	if _, ok := q.Dequeue(1); ok || q.Drained() {
+		t.Fatalf("after one post-close miss: ok=%v Drained=%v, want false false", ok, q.Drained())
+	}
+	if _, ok := q.Dequeue(1); ok || !q.Drained() {
+		t.Fatalf("after a miss on every shard: ok=%v Drained=%v, want false true", ok, q.Drained())
 	}
 }

@@ -28,8 +28,7 @@ func TestFacadeRing(t *testing.T) {
 		t.Fatal("phantom element")
 	}
 
-	// Engine options that don't apply to the ring are ignored, shards
-	// compose.
+	// Shards and the fast-path patience compose with the ring.
 	qs := New[int](4, WithShards(4), WithRing(8), WithFastPath(0))
 	if qs.Shards() != 4 {
 		t.Fatalf("Shards %d", qs.Shards())

@@ -6,13 +6,18 @@ set -eux
 go build ./...
 go vet ./...
 go test ./...
+# The benchmark is its own module (bench/go.mod), outside ./...: build,
+# vet and unit-test it here so an API change cannot silently break it.
+go -C bench vet ./...
+go -C bench test -count=1 .
 go test -race ./internal/core/ ./internal/hazard/ ./internal/sharded/ ./internal/ring/
 # Blocking stress under the race detector: the parking layer's lost-
 # wakeup and close/drain interleavings (internal/waiter), plus the
-# facade-level choreographed races and the concurrent close-drain
-# conservation test (root package).
+# facade-level choreographed races, the concurrent close-drain
+# conservation test, and the sharded close/drain regressions (root
+# package).
 go test -race ./internal/waiter/
-go test -race -run 'TestEnqueueNotifyRacesChainSwing|TestCloseDrainConcurrent|TestHandleGenerationRegression' .
+go test -race -run 'TestEnqueueNotifyRacesChainSwing|TestCloseDrainConcurrent|TestHandleGenerationRegression|TestTrackedEnqueueFailsAfterClose|TestPerShardFIFOPreservedThroughDrain|TestMultiConsumerCloseDrainTerminates|TestCloseDrainWithFrozenTicketHolder' .
 # Queue-service layer under the race detector: registry lifecycle churn
 # (concurrent create/delete/lookup of one name), delete-while-parked,
 # the sweep-vs-delivery conservation CAS, and the wire/server/load

@@ -56,6 +56,7 @@ package wfq
 
 import (
 	"wfq/internal/core"
+	"wfq/internal/phase"
 	"wfq/internal/ring"
 	"wfq/internal/sharded"
 	"wfq/internal/tid"
@@ -83,96 +84,177 @@ const (
 	Fast Variant = core.VariantFast
 )
 
-// Option configures a queue.
-type Option = core.Option
+// Option configures a queue built by New or NewHP. An option that does
+// not apply to the selected engine makes the constructor panic with the
+// option's name.
+type Option func(*config)
 
-// Re-exported configuration options; see the internal/core documentation
-// for semantics.
-var (
-	// WithVariant selects an algorithm variant.
-	WithVariant = core.WithVariant
-	// WithHelpChunk sets how many state entries an Opt1/Opt12
-	// operation scans for helping candidates (default 1).
-	WithHelpChunk = core.WithHelpChunk
-	// WithRandomHelping switches Opt1/Opt12 helping-candidate choice
-	// from cyclic to random (probabilistic wait-freedom, §3.3).
-	WithRandomHelping = core.WithRandomHelping
-	// WithClearOnExit makes finished operations drop their node
-	// references so completed threads pin no queue memory.
-	WithClearOnExit = core.WithClearOnExit
-	// WithDescriptorCache reuses descriptor allocations whose
-	// publication CAS failed.
-	WithDescriptorCache = core.WithDescriptorCache
-	// WithPhaseProvider overrides the Opt2/Opt12 phase source.
-	WithPhaseProvider = core.WithPhaseProvider
-	// WithValidationChecks skips already-satisfied completion CASes
-	// (§3.3 performance-tuning enhancement).
-	WithValidationChecks = core.WithValidationChecks
-	// WithMetrics attaches internal event counters (help traffic, CAS
-	// failures); read them via the core Queue's Metrics method when
-	// constructing through internal/core directly.
-	WithMetrics = core.WithMetrics
-	// WithFastPath selects the Fast variant: up to patience direct
-	// lock-free attempts per operation before falling back to the
-	// wait-free helping protocol (patience <= 0 selects the default).
-	WithFastPath = core.WithFastPath
-	// WithArena block-allocates queue nodes from per-thread arena
-	// segments of blockSize nodes (<= 0 selects the default, 64), so
-	// steady-state allocations drop to roughly one per blockSize
-	// enqueues. Nodes are never reused on the GC variant, only batched;
-	// see internal/pool for the ownership rules.
-	WithArena = core.WithArena
-	// WithShards(n) puts a wait-free ticket dispatcher in front of n
-	// independent shards, each running the configured variant. Ordering
-	// weakens from one FIFO to per-shard FIFO (ticket residue classes),
-	// and Dequeue's empty result becomes per-ticket: n consecutive empty
-	// results with no active producer prove the queue empty. In exchange
-	// the hot head/tail words and the helping state-array are split n
-	// ways. See the Sharding section of README.md and ALGORITHM.md.
-	WithShards = core.WithShards
-	// WithRing(segSize) replaces the linked-node engine with the
-	// ring-segment storage backend (internal/ring): elements live in
-	// contiguous slot segments claimed by one fetch-and-add per
-	// operation, segments are chained only at the boundary, and retired
-	// segments recycle through a bounded free list — zero steady-state
-	// allocations and cache-sequential access. segSize <= 0 selects the
-	// default (1024 slots). Ordering stays a single FIFO; progress is
-	// wait-free: after a bounded number of fast-path attempts an
-	// operation publishes a helping record and peers finish it from its
-	// ticket — see ALGORITHM.md, "Wait-free ring helping". Composes
-	// with WithShards (ring shards behind the ticket dispatcher) and
-	// with WithFastPath, whose patience bounds the ring fast path too;
-	// the remaining engine options (WithVariant, WithArena, ...) do not
-	// apply to the ring engine and are ignored.
-	WithRing = core.WithRing
-)
+// config is one construction's resolved option list.
+type config struct {
+	core     []core.Option // the linked engines' settings, in order
+	linked   string        // the first linked-engine-only option's name
+	patience int           // WithFastPath's resolved patience; 0 without it
+	shards   int
+	ringSeg  int
+	ring     bool
+	poolCap  int // NewHP's per-thread free-list bound
+}
 
-// backend is the queue engine behind the public API: either a single
-// core queue or the sharded frontend.
-type backend[T any] interface {
+// link records a setting that only the linked-node engines (New's
+// default engine, NewHP) understand; WithRing rejects it by name.
+func (c *config) link(name string, o core.Option) {
+	c.core = append(c.core, o)
+	if c.linked == "" {
+		c.linked = name
+	}
+}
+
+// WithVariant selects an algorithm variant.
+func WithVariant(v Variant) Option {
+	return func(c *config) { c.link("WithVariant", core.WithVariant(v)) }
+}
+
+// WithHelpChunk sets how many state entries an Opt1/Opt12 operation
+// scans for helping candidates (default 1).
+func WithHelpChunk(k int) Option {
+	return func(c *config) { c.link("WithHelpChunk", core.WithHelpChunk(k)) }
+}
+
+// WithRandomHelping switches Opt1/Opt12 helping-candidate choice from
+// cyclic to random (probabilistic wait-freedom, §3.3).
+func WithRandomHelping() Option {
+	return func(c *config) { c.link("WithRandomHelping", core.WithRandomHelping()) }
+}
+
+// WithClearOnExit makes finished operations drop their node references
+// so completed threads pin no queue memory.
+func WithClearOnExit() Option {
+	return func(c *config) { c.link("WithClearOnExit", core.WithClearOnExit()) }
+}
+
+// WithDescriptorCache reuses descriptor allocations whose publication
+// CAS failed.
+func WithDescriptorCache() Option {
+	return func(c *config) { c.link("WithDescriptorCache", core.WithDescriptorCache()) }
+}
+
+// WithPhaseProvider overrides the Opt2/Opt12 phase source.
+func WithPhaseProvider(p phase.Provider) Option {
+	return func(c *config) { c.link("WithPhaseProvider", core.WithPhaseProvider(p)) }
+}
+
+// WithValidationChecks skips already-satisfied completion CASes (§3.3
+// performance-tuning enhancement).
+func WithValidationChecks() Option {
+	return func(c *config) { c.link("WithValidationChecks", core.WithValidationChecks()) }
+}
+
+// WithMetrics attaches internal event counters (help traffic, CAS
+// failures); read them via the core Queue's Metrics method when
+// constructing through internal/core directly.
+func WithMetrics() Option {
+	return func(c *config) { c.link("WithMetrics", core.WithMetrics()) }
+}
+
+// WithArena block-allocates queue nodes from per-thread arena segments
+// of blockSize nodes (<= 0 selects the default, 64), so steady-state
+// allocations drop to roughly one per blockSize enqueues. Nodes are
+// never reused on the GC variant, only batched; see internal/pool for
+// the ownership rules.
+func WithArena(blockSize int) Option {
+	return func(c *config) { c.link("WithArena", core.WithArena(blockSize)) }
+}
+
+// WithFastPath selects the Fast variant: up to patience direct
+// lock-free attempts per operation before falling back to the wait-free
+// helping protocol (patience <= 0 selects the default). With WithRing
+// the same patience bounds the ring's fast path before its helping slow
+// path engages.
+func WithFastPath(patience int) Option {
+	if patience <= 0 {
+		patience = core.DefaultPatience
+	}
+	return func(c *config) {
+		c.core = append(c.core, core.WithFastPath(patience))
+		c.patience = patience
+	}
+}
+
+// WithShards(n) puts a wait-free ticket dispatcher in front of n
+// independent shards, each running the configured engine. Ordering
+// weakens from one FIFO to per-shard FIFO (ticket residue classes), and
+// Dequeue's empty result becomes per-ticket: n consecutive empty
+// results with no active producer prove the queue empty. In exchange
+// the hot head/tail words and the helping state-array are split n ways.
+// n <= 1 means unsharded. See the Sharding section of README.md and
+// ALGORITHM.md.
+func WithShards(n int) Option { return func(c *config) { c.shards = n } }
+
+// WithRing(segSize) replaces the linked-node engine with the
+// ring-segment storage backend (internal/ring): elements live in
+// contiguous slot segments claimed by one fetch-and-add per operation,
+// segments are chained only at the boundary, and retired segments
+// recycle through a bounded free list — zero steady-state allocations
+// and cache-sequential access. segSize <= 0 selects the default (1024
+// slots). Ordering stays a single FIFO; progress is wait-free: after a
+// bounded number of fast-path attempts an operation publishes a helping
+// record and peers finish it from its ticket — see ALGORITHM.md,
+// "Wait-free ring helping". Composes with WithShards and WithFastPath;
+// the linked-engine options (WithVariant, WithArena, ...) are rejected,
+// and so is WithRing itself on NewHP.
+func WithRing(segSize int) Option {
+	return func(c *config) { c.ring, c.ringSeg = true, segSize }
+}
+
+// resolve applies opts after the given defaults.
+func resolve(opts []Option, defaults ...core.Option) *config {
+	c := &config{core: make([]core.Option, 0, len(defaults)+len(opts))}
+	c.core = append(c.core, defaults...)
+	for _, o := range opts {
+		o(c)
+	}
+	return c
+}
+
+// engine is the storage engine behind the public API: a linked KP
+// queue (core.Queue, core.HPQueue), the ring (ring.Queue), or the
+// sharded dispatcher over n of them (sharded.Queue).
+type engine[T any] interface {
 	Enqueue(tid int, v T)
 	Dequeue(tid int) (v T, ok bool)
+	EnqueueBatch(tid int, vs []T)
+	DequeueBatch(tid int, dst []T) int
 	Len() int
 	NumThreads() int
 }
 
-// Queue is a wait-free MPMC FIFO queue of T. Create one with New.
+func newLinked[T any](n int, c *config) engine[T] { return core.New[T](n, c.core...) }
+
+func newHP[T any](n int, c *config) engine[T] { return core.NewHP[T](n, c.poolCap, 0, c.core...) }
+
+func newRing[T any](n int, c *config) engine[T] {
+	if c.patience > 0 {
+		return ring.New[T](n, c.ringSeg, ring.WithPatience(c.patience))
+	}
+	return ring.New[T](n, c.ringSeg)
+}
+
+// Queue is a wait-free MPMC FIFO queue of T. Create one with New, or
+// with NewHP for the hazard-pointer engine.
 //
 // With WithShards(n), n > 1, the queue runs n independent shards behind
 // a wait-free ticket dispatcher; ordering is then FIFO per shard rather
 // than globally, and Dequeue's empty result is per-ticket — see
 // WithShards.
 type Queue[T any] struct {
-	q   backend[T]
-	sh  *sharded.Queue[T] // non-nil iff the backend is sharded
+	e   engine[T]
 	reg *tid.Registry
 
 	// Blocking/lifecycle plumbing (see blocking.go): the gate is the
-	// queue's waiter set + close state (the sharded frontend's own gate
+	// queue's waiter set + close state (the sharded engine's own gate
 	// when sharded, so its drain mask sees the close); src is the
-	// waiter.Source view of the backend; cycle is the residue-coverage
-	// bound of the park-loop recheck (Shards() probes on a sharded
-	// queue, 1 otherwise).
+	// waiter.Source view of the engine; cycle is the residue-coverage
+	// bound of the park-loop recheck (the shard count; 1 unsharded).
 	g     *waiter.Gate
 	src   waiter.BatchSource[T]
 	cycle int
@@ -181,67 +263,80 @@ type Queue[T any] struct {
 // New creates a queue supporting up to maxThreads concurrently operating
 // threads, using the Opt12 variant unless overridden by options.
 // maxThreads is an upper bound, not an exact count; it also sizes the
-// Handle namespace.
+// Handle namespace. It panics if WithRing is combined with a
+// linked-engine option.
 func New[T any](maxThreads int, opts ...Option) *Queue[T] {
-	all := append([]Option{WithVariant(Opt12)}, opts...)
-	q := &Queue[T]{reg: tid.NewRegistry(maxThreads)}
-	segSize, useRing := core.RingOf(all...)
-	// WithFastPath's patience carries over to the ring backend: it bounds
-	// the ring's one-FAA fast path the same way it bounds the linked
-	// engine's lock-free attempts, before the helping slow path engages.
-	var ringOpts []ring.Option
-	if p, ok := core.FastPathOf(all...); ok {
-		ringOpts = append(ringOpts, ring.WithPatience(p))
+	c := resolve(opts, core.WithVariant(Opt12))
+	if !c.ring {
+		return build(maxThreads, c, newLinked[T])
 	}
-	if n := core.ShardsOf(all...); n > 1 {
-		if useRing {
-			shards := make([]sharded.Shard[T], n)
-			for i := range shards {
-				shards[i] = ring.New[T](maxThreads, segSize, ringOpts...)
-			}
-			q.sh = sharded.NewOf[T](maxThreads, shards)
-		} else {
-			q.sh = sharded.New[T](maxThreads, n, all...)
+	if c.linked != "" {
+		panic("wfq: " + c.linked + " does not apply to WithRing")
+	}
+	return build(maxThreads, c, newRing[T])
+}
+
+// NewHP creates a queue over the hazard-pointer engine (§3.4 of the
+// paper): nodes are recycled through per-thread pools of at most
+// poolCap nodes (0 selects the default) instead of being left to the
+// garbage collector, demonstrating — and testing — the discipline a
+// runtime without GC would need. For ordinary Go use, prefer New. Of
+// the engine options, WithFastPath and WithArena are honoured; it
+// composes with WithShards and panics on WithRing.
+func NewHP[T any](maxThreads, poolCap int, opts ...Option) *Queue[T] {
+	c := resolve(opts)
+	if c.ring {
+		panic("wfq: WithRing does not apply to NewHP")
+	}
+	c.poolCap = poolCap
+	return build(maxThreads, c, newHP[T])
+}
+
+// build wraps one engine, or the ticket dispatcher over c.shards of
+// them, in the facade.
+func build[T any](maxThreads int, c *config, newEngine func(int, *config) engine[T]) *Queue[T] {
+	q := &Queue[T]{reg: tid.NewRegistry(maxThreads), cycle: 1}
+	if c.shards > 1 {
+		shards := make([]sharded.Shard[T], c.shards)
+		for i := range shards {
+			shards[i] = newEngine(maxThreads, c)
 		}
-		q.q = q.sh
-		q.g = q.sh.Gate()
-		q.src = q.sh
-		q.cycle = q.sh.Shards()
-	} else if useRing {
-		q.q = ring.New[T](maxThreads, segSize, ringOpts...)
-		q.g = waiter.NewGate(maxThreads)
-		q.src = singleSource[T]{q: q.q}
-		q.cycle = 1
-	} else {
-		q.q = core.New[T](maxThreads, all...)
-		q.g = waiter.NewGate(maxThreads)
-		q.src = singleSource[T]{q: q.q}
-		q.cycle = 1
+		sh := sharded.New[T](maxThreads, shards)
+		q.e, q.g, q.src, q.cycle = sh, sh.Gate(), sh, sh.Shards()
+		return q
 	}
+	q.e = newEngine(maxThreads, c)
+	q.g = waiter.NewGate(maxThreads)
+	q.src = (*singleSource[T])(q)
 	return q
 }
 
 // MaxThreads reports the queue's concurrency bound.
-func (q *Queue[T]) MaxThreads() int { return q.q.NumThreads() }
+func (q *Queue[T]) MaxThreads() int { return q.e.NumThreads() }
 
 // MaxObservedPhase reports the largest phase number currently published
-// in the backend's helping state (max across shards when sharded). It
+// in the engine's helping state (max across shards when sharded). It
 // exists for the chaos watchdog's §3.3 wrap guard — see phase.MaxSafe —
 // and for monitoring; values are racy snapshots.
 func (q *Queue[T]) MaxObservedPhase() int64 {
-	if p, ok := q.q.(interface{ MaxObservedPhase() int64 }); ok {
+	if p, ok := q.e.(interface{ MaxObservedPhase() int64 }); ok {
 		return p.MaxObservedPhase()
 	}
 	return 0
 }
 
-// Shards reports the shard count (1 when unsharded).
-func (q *Queue[T]) Shards() int {
-	if q.sh != nil {
-		return q.sh.Shards()
+// PoolStats reports the hazard-pointer engine's node reuse counters
+// (hits, allocator misses, drops) on an unsharded NewHP queue; zeros
+// otherwise.
+func (q *Queue[T]) PoolStats() (hits, misses, drops int64) {
+	if p, ok := q.e.(interface{ PoolStats() (int64, int64, int64) }); ok {
+		return p.PoolStats()
 	}
-	return 1
+	return 0, 0, 0
 }
+
+// Shards reports the shard count (1 when unsharded).
+func (q *Queue[T]) Shards() int { return q.cycle }
 
 // Enqueue inserts v at the tail on behalf of thread tid. tid must be in
 // [0, MaxThreads()) and must not be used concurrently by another
@@ -258,13 +353,7 @@ func (q *Queue[T]) Enqueue(tid int, v T) {
 // ok is false when the queue was empty at the operation's linearization
 // point. On a sharded queue "empty" refers to the shard the operation's
 // ticket dispatched it to; see WithShards.
-func (q *Queue[T]) Dequeue(tid int) (v T, ok bool) { return q.q.Dequeue(tid) }
-
-// batcher is the optional first-class batch contract of a backend.
-type batcher[T any] interface {
-	EnqueueBatch(tid int, vs []T)
-	DequeueBatch(tid int, dst []T) int
-}
+func (q *Queue[T]) Dequeue(tid int) (v T, ok bool) { return q.e.Dequeue(tid) }
 
 // EnqueueBatch inserts vs in order on behalf of thread tid, atomically
 // with respect to position: unsharded, the values are pre-linked into a
@@ -282,21 +371,6 @@ func (q *Queue[T]) EnqueueBatch(tid int, vs []T) {
 	}
 }
 
-// enqueueBatch is the untracked batch append (see TryEnqueueBatch).
-func (q *Queue[T]) enqueueBatch(tid int, vs []T) {
-	if q.sh != nil {
-		q.sh.EnqueueBatch(tid, vs)
-		return
-	}
-	if b, ok := q.q.(batcher[T]); ok {
-		b.EnqueueBatch(tid, vs)
-		return
-	}
-	for _, v := range vs {
-		q.q.Enqueue(tid, v)
-	}
-}
-
 // DequeueBatch removes up to len(dst) elements into dst, returning how
 // many were obtained. Unsharded, it is a fast-path multi-claim plus
 // single dequeues — each removal linearizes individually, the batch form
@@ -304,37 +378,20 @@ func (q *Queue[T]) enqueueBatch(tid int, vs []T) {
 // observation. On a sharded queue the batch claims len(dst) consecutive
 // dispatch tickets with one fetch-and-add — probing len(dst) consecutive
 // shards, so a batch of Shards() slots samples every shard once.
-func (q *Queue[T]) DequeueBatch(tid int, dst []T) int {
-	if q.sh != nil {
-		return q.sh.DequeueBatch(tid, dst)
-	}
-	if b, ok := q.q.(batcher[T]); ok {
-		return b.DequeueBatch(tid, dst)
-	}
-	n := 0
-	for n < len(dst) {
-		v, ok := q.q.Dequeue(tid)
-		if !ok {
-			break
-		}
-		dst[n] = v
-		n++
-	}
-	return n
-}
+func (q *Queue[T]) DequeueBatch(tid int, dst []T) int { return q.e.DequeueBatch(tid, dst) }
 
 // ShardDepths reports a racy snapshot of each shard's element count; a
 // single-element slice when unsharded. Monitoring and tests only.
 func (q *Queue[T]) ShardDepths() []int {
-	if q.sh != nil {
-		return q.sh.ShardDepths()
+	if sh, ok := q.e.(interface{ ShardDepths() []int }); ok {
+		return sh.ShardDepths()
 	}
-	return []int{q.q.Len()}
+	return []int{q.e.Len()}
 }
 
 // Len reports a racy snapshot of the number of queued elements. O(n);
 // intended for monitoring and tests, not synchronization.
-func (q *Queue[T]) Len() int { return q.q.Len() }
+func (q *Queue[T]) Len() int { return q.e.Len() }
 
 // Handle leases a thread id from the queue's renaming namespace and
 // returns a Handle bound to this queue. It fails with tid.ErrExhausted
@@ -383,47 +440,3 @@ func (h *Handle[T]) Release() {
 	h.h.Release()
 	h.q.g.Broadcast()
 }
-
-// HPQueue is the hazard-pointer variant of the queue (§3.4 of the paper):
-// nodes are recycled through per-thread pools instead of being left to
-// the garbage collector, demonstrating — and testing — the discipline a
-// runtime without GC would need. For ordinary Go use, prefer Queue.
-type HPQueue[T any] struct {
-	q   *core.HPQueue[T]
-	reg *tid.Registry
-	g   *waiter.Gate
-	src waiter.BatchSource[T]
-}
-
-// NewHP creates a hazard-pointer-backed queue for up to maxThreads
-// threads. poolCap bounds each thread's node free list (0 selects the
-// default). Of the options, WithFastPath and WithArena are honoured.
-func NewHP[T any](maxThreads, poolCap int, opts ...Option) *HPQueue[T] {
-	q := &HPQueue[T]{
-		q:   core.NewHP[T](maxThreads, poolCap, 0, opts...),
-		reg: tid.NewRegistry(maxThreads),
-		g:   waiter.NewGate(maxThreads),
-	}
-	q.src = singleSource[T]{q: q.q}
-	return q
-}
-
-// MaxThreads reports the queue's concurrency bound.
-func (q *HPQueue[T]) MaxThreads() int { return q.q.NumThreads() }
-
-// Enqueue inserts v at the tail on behalf of thread tid.
-func (q *HPQueue[T]) Enqueue(tid int, v T) { q.q.Enqueue(tid, v) }
-
-// Dequeue removes and returns the oldest element on behalf of thread tid.
-func (q *HPQueue[T]) Dequeue(tid int) (v T, ok bool) { return q.q.Dequeue(tid) }
-
-// EnqueueBatch inserts vs in order as one chained append; see
-// Queue.EnqueueBatch for the contiguity contract.
-func (q *HPQueue[T]) EnqueueBatch(tid int, vs []T) { q.q.EnqueueBatch(tid, vs) }
-
-// DequeueBatch removes up to len(dst) elements into dst; see
-// Queue.DequeueBatch.
-func (q *HPQueue[T]) DequeueBatch(tid int, dst []T) int { return q.q.DequeueBatch(tid, dst) }
-
-// PoolStats reports node reuse counters (hits, allocator misses, drops).
-func (q *HPQueue[T]) PoolStats() (hits, misses, drops int64) { return q.q.PoolStats() }
