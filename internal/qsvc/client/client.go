@@ -28,11 +28,11 @@ import (
 
 // Conn is a client connection to a queue server.
 type Conn struct {
-	mu  sync.Mutex
-	c   net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
-	buf []byte // reused request-encoding scratch
+	mu   sync.Mutex
+	c    net.Conn
+	br   *bufio.Reader
+	wbuf []byte // reused request frame
+	rbuf []byte // reused response frame
 }
 
 // Dial connects to a queue server at addr.
@@ -41,36 +41,34 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{
-		c:  c,
-		br: bufio.NewReaderSize(c, 64<<10),
-		bw: bufio.NewWriterSize(c, 64<<10),
-	}, nil
+	return &Conn{c: c, br: bufio.NewReader(c)}, nil
 }
 
 // Close tears down the connection.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// roundTrip sends one request and reads its response. The caller must
-// not retain resp.Payload past the next call on this Conn.
+// roundTrip sends one request, built in place and written with one
+// Write, and reads its response into the Conn's reused buffer. The
+// caller must not retain resp.Payload past the next call on this Conn.
 func (c *Conn) roundTrip(req *wire.Request) (wire.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	body, err := req.EncodeRequest(c.buf[:0])
+	f, err := req.EncodeRequest(wire.BeginFrame(c.wbuf))
 	if err != nil {
 		return wire.Response{}, err
 	}
-	c.buf = body
-	if err := wire.WriteFrame(c.bw, body); err != nil {
+	c.wbuf = f
+	if err := wire.EndFrame(f); err != nil {
 		return wire.Response{}, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if _, err := c.c.Write(f); err != nil {
 		return wire.Response{}, err
 	}
-	frame, err := wire.ReadFrame(c.br)
+	frame, err := wire.ReadFrameInto(c.br, c.rbuf)
 	if err != nil {
 		return wire.Response{}, err
 	}
+	c.rbuf = frame
 	return wire.DecodeResponse(frame)
 }
 

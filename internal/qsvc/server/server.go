@@ -11,9 +11,19 @@
 // sound: if the name was deleted and recreated, the cached session's
 // generation no longer matches and the handler replaces it instead of
 // silently operating on the predecessor queue.
+//
+// Buffers: each connection reads through one bufio.Reader, so a small
+// frame's header and body arrive in one read syscall, and keeps one read
+// buffer, one response buffer and one decoded wire.Request across its
+// requests. A response is encoded in place behind its length and sent
+// with one Write. A plain request therefore allocates nothing here but
+// the copy of an enqueued payload (the queue keeps the element). A
+// buffer grown past 64 KiB by a large frame is dropped once that frame
+// is served, so an idle connection never pins more than that.
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -167,6 +177,10 @@ type csess struct {
 	s *qsvc.Session[[]byte]
 }
 
+// maxRetained caps the frame buffers a connection keeps between
+// requests; a larger one is dropped after its frame is served.
+const maxRetained = 64 << 10
+
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	sessions := make(map[string]*csess)
@@ -180,22 +194,37 @@ func (s *Server) handle(c net.Conn) {
 		c.Close()
 	}()
 
-	var out []byte
+	br := bufio.NewReader(c)
+	var (
+		in, out []byte
+		req     wire.Request
+	)
 	for {
-		body, err := wire.ReadFrame(c)
+		body, err := wire.ReadFrameInto(br, in)
 		if err != nil {
 			return // disconnect or protocol failure: drop the conn
 		}
-		req, err := wire.DecodeRequest(body)
 		var resp wire.Response
-		if err != nil {
+		if err := req.Decode(body); err != nil {
 			resp = wire.Response{Status: wire.StErr, Payload: []byte(err.Error())}
 		} else {
 			resp = s.serve(sessions, &req)
 		}
-		out = resp.EncodeResponse(out[:0])
-		if err := wire.WriteFrame(c, out); err != nil {
+		out = resp.EncodeResponse(wire.BeginFrame(out))
+		if err := wire.EndFrame(out); err != nil {
 			return
+		}
+		if _, err := c.Write(out); err != nil {
+			return
+		}
+		// One large frame must not pin its buffer on an idle connection
+		// (req.Payload aliases it too).
+		in, req.Payload = body, nil
+		if cap(in) > maxRetained {
+			in = nil
+		}
+		if cap(out) > maxRetained {
+			out = nil
 		}
 	}
 }
@@ -291,8 +320,8 @@ func (s *Server) serve(sessions map[string]*csess, req *wire.Request) wire.Respo
 		if cs == nil {
 			return errResp
 		}
-		// Payload references the read buffer of this frame only until
-		// the next ReadFrame, but enqueue hands it to the queue — copy.
+		// Payload aliases the connection's read buffer, which the next
+		// frame overwrites, but enqueue hands it to the queue — copy.
 		payload := append([]byte(nil), req.Payload...)
 		r, err := cs.s.Enqueue(payload, time.Duration(req.DeadlineNs))
 		if err != nil {

@@ -99,6 +99,36 @@ func TestServerUnknownQueue(t *testing.T) {
 	}
 }
 
+// TestServerLargeFrames: payloads larger than the buffers a connection
+// keeps between requests round-trip intact, interleaved with small ones,
+// so dropping a grown buffer never loses or mixes up bytes.
+func TestServerLargeFrames(t *testing.T) {
+	_, c := startServer(t)
+	if _, err := c.Create("big", client.CreateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	payloads := [][]byte{
+		[]byte("small"),
+		[]byte(strings.Repeat("L", 300<<10)),
+		[]byte("tiny"),
+		[]byte(strings.Repeat("M", 70<<10)),
+	}
+	for _, p := range payloads {
+		if err := c.Enqueue("big", p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range payloads {
+		got, ok, err := c.Dequeue("big", 0)
+		if err != nil || !ok {
+			t.Fatalf("dequeue %d: ok=%v err=%v", i, ok, err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("dequeue %d: got %d bytes, want %d", i, len(got), len(want))
+		}
+	}
+}
+
 // TestServerBlockingDequeue: a blocking dequeue parked on one
 // connection is satisfied by an enqueue on another.
 func TestServerBlockingDequeue(t *testing.T) {

@@ -11,6 +11,16 @@
 // length-prefixed queue name; responses begin with a status byte and a
 // fixed 8-byte auxiliary word (the generation on create, zero
 // elsewhere), then carry verb-specific payload.
+//
+// Frames are built in place: BeginFrame reserves the length in a reused
+// buffer, the body is encoded after it, and EndFrame fills the length in,
+// so a sender writes each frame with one Write and no per-frame
+// allocation. ReadFrameInto reads a frame into a reused buffer; the body
+// it returns, and every slice a decoder takes from that body (such as
+// Request.Payload), aliases the buffer and is valid only until the next
+// read into it. Decoded strings (Request.Name, Request.Backend) never
+// alias it. ReadFrame, WriteFrame and DecodeRequest are one-shot
+// wrappers over the same code that use fresh memory on every call.
 package wire
 
 import (
@@ -18,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MaxFrame bounds a single message (16 MiB) so a corrupt length prefix
@@ -84,35 +95,87 @@ type Response struct {
 	Payload []byte // dequeued bytes, stats JSON, or error message
 }
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", len(body), MaxFrame)
+// readStep bounds how many body bytes ReadFrameInto makes room for
+// before they arrive, so a length prefix alone cannot make a reader
+// allocate MaxFrame.
+const readStep = 64 << 10
+
+// minFrameBuf is the storage ReadFrameInto allocates when handed none:
+// room for the header and a small request or response (a short queue
+// name and a 16-byte payload) in one allocation.
+const minFrameBuf = 64
+
+// BeginFrame starts a frame in dst's storage: it returns dst[:0] with the
+// 4-byte length reserved. Append the body to the result, then call
+// EndFrame on the whole frame.
+func BeginFrame(dst []byte) []byte {
+	return append(dst[:0], 0, 0, 0, 0)
+}
+
+// EndFrame fills in the length of a frame started by BeginFrame; f is
+// the reserved length followed by the body. It rejects bodies over
+// MaxFrame.
+func EndFrame(f []byte) error {
+	n := len(f) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(f, uint32(n))
+	return nil
+}
+
+// WriteFrame writes one length-prefixed frame with a single Write.
+func WriteFrame(w io.Writer, body []byte) error {
+	f := append(BeginFrame(make([]byte, 0, 4+len(body))), body...)
+	if err := EndFrame(f); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	_, err := w.Write(f)
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame into fresh memory.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return ReadFrameInto(r, nil)
+}
+
+// ReadFrameInto reads one length-prefixed frame, reusing buf's storage
+// for both the header and the body. The returned body aliases that
+// storage (or a larger one it grew into) and is valid until the next
+// read into it; pass it back as buf to keep the storage. Storage grows
+// only as body bytes arrive, each read asking for at most readStep more,
+// so a header claiming MaxFrame costs nothing until the body follows.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 0, minFrameBuf)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	body := buf[:0]
+	for len(body) < n {
+		k := len(body)
+		step := min(n-k, readStep)
+		body = slices.Grow(body, step)[:k+step]
+		if _, err := io.ReadFull(r, body[k:]); err != nil {
+			return nil, noEOF(err)
+		}
 	}
 	return body, nil
+}
+
+// noEOF reports a body cut short by a clean EOF as io.ErrUnexpectedEOF:
+// the header promised more bytes.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ErrTruncated reports a frame too short for its verb's fixed fields.
@@ -127,16 +190,17 @@ func appendStr8(b []byte, s string) ([]byte, error) {
 	return append(b, s...), nil
 }
 
-// takeStr8 splits a one-byte-length-prefixed string off the front.
-func takeStr8(b []byte) (string, []byte, error) {
+// takeStr8 splits a one-byte-length-prefixed string off the front,
+// returning its bytes (aliasing b).
+func takeStr8(b []byte) ([]byte, []byte, error) {
 	if len(b) < 1 {
-		return "", nil, ErrTruncated
+		return nil, nil, ErrTruncated
 	}
 	n := 1 + int(b[0])
 	if len(b) < n {
-		return "", nil, ErrTruncated
+		return nil, nil, ErrTruncated
 	}
-	return string(b[1:n]), b[n:], nil
+	return b[1:n], b[n:], nil
 }
 
 // EncodeRequest appends the request's frame body to dst.
@@ -170,24 +234,40 @@ func (q *Request) EncodeRequest(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRequest parses a request frame body.
+// DecodeRequest parses a request frame body. Payload aliases b.
 func DecodeRequest(b []byte) (Request, error) {
 	var q Request
+	err := q.Decode(b)
+	return q, err
+}
+
+// Decode parses a request frame body into q, overwriting every field.
+// Payload aliases b; Name keeps q's existing string when the bytes match
+// it, so decoding a connection's repeated queue name does not allocate.
+func (q *Request) Decode(b []byte) error {
+	name := q.Name
+	*q = Request{}
 	if len(b) < 1 {
-		return q, ErrTruncated
+		return ErrTruncated
 	}
 	q.Verb = b[0]
-	var err error
-	if q.Name, b, err = takeStr8(b[1:]); err != nil {
-		return q, err
+	nb, b, err := takeStr8(b[1:])
+	if err != nil {
+		return err
 	}
+	if string(nb) != name {
+		name = string(nb)
+	}
+	q.Name = name
 	switch q.Verb {
 	case VCreate:
-		if q.Backend, b, err = takeStr8(b); err != nil {
-			return q, err
+		var bb []byte
+		if bb, b, err = takeStr8(b); err != nil {
+			return err
 		}
+		q.Backend = string(bb)
 		if len(b) < 2+4+4+4+4 {
-			return q, ErrTruncated
+			return ErrTruncated
 		}
 		q.Shards = binary.BigEndian.Uint16(b)
 		q.SegSize = binary.BigEndian.Uint32(b[2:])
@@ -198,20 +278,20 @@ func DecodeRequest(b []byte) (Request, error) {
 		// name only
 	case VEnq:
 		if len(b) < 1+8 {
-			return q, ErrTruncated
+			return ErrTruncated
 		}
 		q.Flags = b[0]
 		q.DeadlineNs = int64(binary.BigEndian.Uint64(b[1:]))
 		q.Payload = b[9:]
 	case VDeq:
 		if len(b) < 8 {
-			return q, ErrTruncated
+			return ErrTruncated
 		}
 		q.WaitNs = int64(binary.BigEndian.Uint64(b))
 	default:
-		return q, fmt.Errorf("wire: unknown verb %d", q.Verb)
+		return fmt.Errorf("wire: unknown verb %d", q.Verb)
 	}
-	return q, nil
+	return nil
 }
 
 // EncodeResponse appends the response's frame body to dst.
