@@ -96,7 +96,10 @@ func BenchmarkFig9Ablation(b *testing.B) {
 // same series under the preemption-heavy profile, where the paper found
 // the LF/WF gap narrows or inverts.
 func BenchmarkFig7PreemptProfile(b *testing.B) {
-	prof, _ := harness.ProfileByName("preempt")
+	prof, err := harness.ProfileByName("preempt")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, alg := range harness.Figure7Algorithms() {
 		b.Run(fmt.Sprintf("%s/threads=8", alg.Name), func(b *testing.B) {
 			runWorkload(b, alg, harness.Pairs, 8, prof)

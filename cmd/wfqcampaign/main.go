@@ -1,19 +1,22 @@
-// Command wfqcampaign is the many-core scaling observatory driver: it
-// runs declarative benchmark campaigns (a matrix over
-// threads × GOMAXPROCS × queue variants × workloads), writes env-stamped
-// JSON snapshots plus self-contained SVG scaling charts, and gates the
-// current tree against committed baselines.
+// Command wfqcampaign is the repo's one sweep driver: it runs
+// declarative benchmark campaigns (a matrix over
+// threads × GOMAXPROCS × queue variants × workloads × batch widths),
+// prints each result as a table, writes env-stamped JSON snapshots plus
+// self-contained SVG scaling charts, and gates the current tree against
+// committed baselines.
 //
 // Modes:
 //
 //	wfqcampaign [-out DIR] [matrix flags]
-//	    Run the matrix and write BENCH_campaign_<workload>_g<P>.json
-//	    snapshots and CAMPAIGN_*.svg charts into DIR (default results).
+//	    Run the matrix and print one median-ops/s table per
+//	    (workload, GOMAXPROCS) document. With -out, also write
+//	    BENCH_campaign_<workload>_g<P>.json snapshots and CAMPAIGN_*.svg
+//	    charts into DIR; without it nothing is written.
 //
 //	wfqcampaign -quick [-out DIR]
 //	    Tiny smoke matrix (2 variants × pairs × threads {1,2} ×
 //	    GOMAXPROCS {1,2}, short iters) — exercises the runner, snapshot
-//	    and chart paths in seconds; used by scripts/check.sh and CI.
+//	    and chart paths in seconds; used by scripts/check.sh.
 //
 //	wfqcampaign -gate -baseline DIR [-candidate DIR]
 //	    Load baseline snapshots and compare. With -candidate, compare two
@@ -28,11 +31,13 @@
 //	    regression the gate must demonstrably fail on (check.sh asserts
 //	    exactly that).
 //
-// The matrix flags: -variants (harness algorithm names), -workloads
-// (pairs, fifty, batchpairs, batchenq), -threads, -procs (GOMAXPROCS
-// values), -iters, -repeats, -profile, -batch. Cells with
-// threads > GOMAXPROCS are stamped oversubscribed and warned about: they
-// measure scheduler multiplexing, not parallelism.
+// The matrix flags: -variants (harness algorithm names; an unknown name
+// lists the registered ones), -workloads (pairs, fifty, batchpairs,
+// batchenq), -threads, -procs (GOMAXPROCS values), -iters, -repeats,
+// -profile, -batch (batch widths; each explicit width labels its cells
+// "<variant> [k=N]"). Cells with threads > GOMAXPROCS are stamped
+// oversubscribed and warned about: they measure scheduler multiplexing,
+// not parallelism.
 package main
 
 import (
@@ -48,7 +53,7 @@ import (
 
 func main() {
 	var (
-		out       = flag.String("out", "results", "directory for snapshots and SVG charts")
+		out       = flag.String("out", "", "directory for snapshots and SVG charts (run mode writes nothing without it)")
 		variants  = flag.String("variants", "opt WF (1+2),fast WF,sharded WF,ring LF,ring WF", "comma-separated harness algorithm names")
 		workloads = flag.String("workloads", "pairs,batchpairs", "comma-separated workloads: pairs, fifty, batchpairs, batchenq")
 		threads   = flag.String("threads", "1,2,4,8", "comma-separated thread counts")
@@ -56,9 +61,8 @@ func main() {
 		iters     = flag.Int("iters", 20000, "per-thread iteration budget (elements on batch workloads)")
 		repeats   = flag.Int("repeats", 3, "measured runs per cell")
 		profile   = flag.String("profile", "default", "base scheduler profile: default, preempt or oversub")
-		batch     = flag.Int("batch", 0, "batch width for the batch workloads (0 = default 8)")
+		batch     = flag.String("batch", "", "comma-separated batch widths for the batch workloads (empty = default 8, unlabelled)")
 		quick     = flag.Bool("quick", false, "tiny smoke matrix (overrides the matrix flags)")
-		nocharts  = flag.Bool("nocharts", false, "skip SVG chart generation")
 
 		gate      = flag.Bool("gate", false, "gate mode: compare against -baseline instead of writing snapshots")
 		baseline  = flag.String("baseline", "", "baseline snapshot directory (gate and degrade modes)")
@@ -76,8 +80,8 @@ func main() {
 
 	switch {
 	case *degrade > 0:
-		if *baseline == "" {
-			fatal(fmt.Errorf("-degrade needs -baseline"))
+		if *baseline == "" || *out == "" {
+			fatal(fmt.Errorf("-degrade needs -baseline and -out"))
 		}
 		docs, err := campaign.LoadDir(*baseline)
 		if err != nil {
@@ -166,7 +170,7 @@ func main() {
 			Iters:     *iters,
 			Repeats:   *repeats,
 			Profile:   *profile,
-			BatchK:    *batch,
+			Batch:     mustInts(*batch),
 			Logf:      logf,
 		}
 		if *quick {
@@ -184,21 +188,22 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		for _, d := range docs {
+			fmt.Println(campaign.Table(d))
+		}
+		if *out == "" {
+			return
+		}
 		paths, err := campaign.WriteSnapshots(*out, docs)
 		if err != nil {
 			fatal(err)
 		}
-		for _, p := range paths {
-			logf("wfqcampaign: wrote %s", p)
+		charts, err := campaign.WriteCharts(*out, docs)
+		if err != nil {
+			fatal(err)
 		}
-		if !*nocharts {
-			charts, err := campaign.WriteCharts(*out, docs)
-			if err != nil {
-				fatal(err)
-			}
-			for _, p := range charts {
-				logf("wfqcampaign: wrote %s", p)
-			}
+		for _, p := range append(paths, charts...) {
+			logf("wfqcampaign: wrote %s", p)
 		}
 	}
 }

@@ -40,9 +40,9 @@ func main() {
 	failed := 0
 	for _, name := range strings.Split(*algsFlag, ",") {
 		name = strings.TrimSpace(name)
-		alg, ok := harness.ByName(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "wfqcheck: unknown algorithm %q\n", name)
+		alg, err := harness.ByName(name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wfqcheck:", err)
 			os.Exit(2)
 		}
 		unknown := 0

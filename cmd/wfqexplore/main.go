@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	algName := flag.String("alg", "base WF", "queue algorithm (see wfqbench -list)")
+	algName := flag.String("alg", "base WF", "queue algorithm (an unknown name lists the registered ones)")
 	progsFlag := flag.String("progs", "e1;d", "program: threads ';'-separated, ops ','-separated, op = eN | d")
 	initFlag := flag.String("initial", "", "initial queue contents, comma-separated")
 	maxRuns := flag.Int("max", 20000, "interleaving budget")
@@ -33,9 +33,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random sampling seed")
 	flag.Parse()
 
-	alg, ok := harness.ByName(*algName)
-	if !ok {
-		fatal(fmt.Errorf("unknown algorithm %q", *algName))
+	alg, err := harness.ByName(*algName)
+	if err != nil {
+		fatal(err)
 	}
 	progs, err := parseProgs(*progsFlag)
 	if err != nil {

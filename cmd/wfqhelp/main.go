@@ -35,9 +35,9 @@ func main() {
 	midop := flag.Bool("midop", true, "also reschedule threads in the middle of operations (at the CAS points), which is what makes helping observable on a single-core host")
 	flag.Parse()
 
-	prof, ok := harness.ProfileByName(*profileName)
-	if !ok {
-		fatal(fmt.Errorf("unknown profile %q", *profileName))
+	prof, err := harness.ProfileByName(*profileName)
+	if err != nil {
+		fatal(err)
 	}
 	if *midop {
 		// Park threads at the instrumented points bracketing the

@@ -71,9 +71,9 @@ func runBlocking(o blockingOpts) error {
 	}
 	for _, name := range strings.Split(algNames, ",") {
 		name = strings.TrimSpace(name)
-		alg, ok := harness.ByName(name)
-		if !ok {
-			return fmt.Errorf("unknown algorithm %q", name)
+		alg, err := harness.ByName(name)
+		if err != nil {
+			return err
 		}
 		base, err := harness.MeasureBlocking(alg, cfg, harness.BlockingProducersOnly)
 		if err != nil {

@@ -53,9 +53,9 @@ func main() {
 		return
 	}
 
-	prof, ok := harness.ProfileByName(*profileName)
-	if !ok {
-		fatal(fmt.Errorf("unknown profile %q", *profileName))
+	prof, err := harness.ProfileByName(*profileName)
+	if err != nil {
+		fatal(err)
 	}
 	cfg := harness.LatencyConfig{
 		Threads:     *threads,
@@ -68,9 +68,9 @@ func main() {
 	var algs []harness.Algorithm
 	for _, name := range strings.Split(*algsFlag, ",") {
 		name = strings.TrimSpace(name)
-		alg, ok := harness.ByName(name)
-		if !ok {
-			fatal(fmt.Errorf("unknown algorithm %q", name))
+		alg, err := harness.ByName(name)
+		if err != nil {
+			fatal(err)
 		}
 		algs = append(algs, alg)
 		r, err := harness.MeasureLatency(alg, cfg)

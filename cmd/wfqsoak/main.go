@@ -44,9 +44,9 @@ func main() {
 
 	var algs []harness.Algorithm
 	for _, name := range strings.Split(*algsFlag, ",") {
-		a, ok := harness.ByName(strings.TrimSpace(name))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "wfqsoak: unknown algorithm %q\n", name)
+		a, err := harness.ByName(strings.TrimSpace(name))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wfqsoak:", err)
 			os.Exit(2)
 		}
 		algs = append(algs, a)

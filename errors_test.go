@@ -112,6 +112,14 @@ func TestInapplicableOptionsRejected(t *testing.T) {
 		{"WithMetrics", func() { New[int](2, WithRing(0), WithMetrics()) }},
 		{"WithArena", func() { New[int](2, WithShards(2), WithRing(0), WithArena(0)) }},
 		{"WithRing", func() { NewHP[int](2, 0, WithRing(0)) }},
+		{"WithVariant", func() { NewHP[int](2, 0, WithVariant(Opt1)) }},
+		{"WithHelpChunk", func() { NewHP[int](2, 0, WithFastPath(0), WithHelpChunk(2)) }},
+		{"WithRandomHelping", func() { NewHP[int](2, 0, WithRandomHelping()) }},
+		{"WithClearOnExit", func() { NewHP[int](2, 0, WithArena(0), WithClearOnExit()) }},
+		{"WithDescriptorCache", func() { NewHP[int](2, 0, WithDescriptorCache()) }},
+		{"WithPhaseProvider", func() { NewHP[int](2, 0, WithPhaseProvider(phase.NewFAA())) }},
+		{"WithValidationChecks", func() { NewHP[int](2, 0, WithValidationChecks()) }},
+		{"WithMetrics", func() { NewHP[int](2, 0, WithShards(2), WithMetrics()) }},
 	} {
 		func() {
 			defer func() {

@@ -66,8 +66,7 @@ type Spec struct {
 	Procs []int
 	// Iters is the per-thread iteration budget. On the batch workloads it
 	// counts ELEMENTS per thread (iterations scale down by the batch
-	// width), matching wfqbench, so every cell moves the same element
-	// volume.
+	// width), so every cell moves the same element volume.
 	Iters int
 	// Repeats is the number of measured runs per cell.
 	Repeats int
@@ -75,9 +74,11 @@ type Spec struct {
 	// "oversub"); empty means default. The campaign overlays its
 	// per-document GOMAXPROCS on top of it.
 	Profile string
-	// BatchK is the batch width of the batch workloads; 0 means the
-	// harness default (8).
-	BatchK int
+	// Batch lists the batch widths of the batch workloads. Each width
+	// runs as its own sweep and labels its cells "<variant> [k=N]"; 0
+	// stands for the harness default (8) and adds no label. Empty means
+	// one sweep at the default. Other workloads ignore it.
+	Batch []int
 	// Logf receives progress lines and oversubscription warnings; nil
 	// silences them.
 	Logf func(format string, args ...any)
@@ -104,8 +105,12 @@ type Cell struct {
 	// Oversubscribed marks Threads > GOMAXPROCS: the cell measures
 	// scheduler multiplexing, not parallelism, and scaling claims must
 	// not be drawn from it.
-	Oversubscribed  bool    `json:"oversubscribed,omitempty"`
-	Shards          int     `json:"shards,omitempty"`
+	Oversubscribed bool `json:"oversubscribed,omitempty"`
+	Shards         int  `json:"shards,omitempty"`
+	// BatchK is the explicit batch width the cell ran at, 0 for the
+	// default width (or a non-batch workload). It is the N of the
+	// series label's " [k=N]" suffix.
+	BatchK          int     `json:"batch_k,omitempty"`
 	Iters           int     `json:"iters"`
 	OpsPerIter      int     `json:"ops_per_iter"`
 	SecMean         float64 `json:"sec_mean"`
@@ -119,6 +124,8 @@ type Cell struct {
 	BytesPerOp      float64 `json:"bytes_per_op"`
 	FastHits        int64   `json:"fast_hits,omitempty"`
 	FastFallbacks   int64   `json:"fast_fallbacks,omitempty"`
+	BatchEnqs       int64   `json:"batch_enqs,omitempty"`
+	BatchEnqElems   int64   `json:"batch_enq_elems,omitempty"`
 }
 
 // FastHitRatio reports the fraction of operations the fast path absorbed,
@@ -142,11 +149,14 @@ type Doc struct {
 	// cells record the effective one.
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Profile    string `json:"profile"`
-	Iters      int    `json:"iters"`
-	Repeats    int    `json:"repeats"`
-	BatchK     int    `json:"batch_k,omitempty"`
-	Env        Env    `json:"env"`
-	Cells      []Cell `json:"cells"`
+	// Iters is the per-thread budget the matrix was given (Spec.Iters);
+	// each cell records the iterations it actually ran. Documents written
+	// before cells recorded batch_k hold the batch workloads'
+	// element-normalized count here instead.
+	Iters   int    `json:"iters"`
+	Repeats int    `json:"repeats"`
+	Env     Env    `json:"env"`
+	Cells   []Cell `json:"cells"`
 }
 
 // SchemaVersion is the current snapshot document schema.
@@ -191,6 +201,11 @@ func (s Spec) validate() error {
 	if s.Iters <= 0 || s.Repeats <= 0 {
 		return fmt.Errorf("campaign: Iters and Repeats must be positive (got %d, %d)", s.Iters, s.Repeats)
 	}
+	for _, k := range s.Batch {
+		if k < 0 {
+			return fmt.Errorf("campaign: bad batch width %d", k)
+		}
+	}
 	for _, p := range s.Procs {
 		if p < 1 {
 			return fmt.Errorf("campaign: bad GOMAXPROCS value %d", p)
@@ -205,27 +220,29 @@ func (s Spec) validate() error {
 }
 
 // Run executes the matrix and returns one Doc per (workload, procs)
-// point, cells ordered variant-major then by thread count. Documents are
-// ordered workload-major, then by ascending GOMAXPROCS.
+// point, cells ordered by batch width, then variant, then thread count.
+// Documents are ordered workload-major, then by ascending GOMAXPROCS.
 func Run(spec Spec) ([]*Doc, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	var algs []harness.Algorithm
+	shardsByAlg := map[string]int{}
 	for _, name := range spec.Variants {
-		a, ok := harness.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("campaign: unknown variant %q", name)
+		a, err := harness.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
 		}
 		algs = append(algs, a)
+		shardsByAlg[a.Name] = a.Shards
 	}
 	profName := spec.Profile
 	if profName == "" {
 		profName = "default"
 	}
-	baseProf, ok := harness.ProfileByName(profName)
-	if !ok {
-		return nil, fmt.Errorf("campaign: unknown profile %q", profName)
+	baseProf, err := harness.ProfileByName(profName)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	env := CaptureEnv()
 	procs := append([]int(nil), spec.Procs...)
@@ -237,51 +254,49 @@ func Run(spec Spec) ([]*Doc, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Element-normalized iteration budget on the batch workloads,
-		// exactly as wfqbench scales them.
-		iters := spec.Iters
-		if w == harness.BatchPairs || w == harness.BatchEnq {
-			k := spec.BatchK
-			if k == 0 {
-				k = 8
-			}
-			if iters = spec.Iters / k; iters == 0 {
-				iters = 1
-			}
+		wl := WorkloadShort(w)
+		widths := []int{0}
+		if isBatch(w) && len(spec.Batch) > 0 {
+			widths = spec.Batch
 		}
 		for _, p := range procs {
 			prof := baseProf
 			prof.GOMAXPROCS = p
-			spec.logf("campaign: measuring %s g%d (%d variants × %d thread counts × %d repeats)",
-				WorkloadShort(w), p, len(algs), len(spec.Threads), spec.Repeats)
-			pts, err := harness.Sweep(algs, spec.Threads, harness.Config{
-				Workload: w, Iters: iters, Seed: 1, Profile: prof, BatchK: spec.BatchK,
-			}, spec.Repeats)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: %s g%d: %w", WorkloadShort(w), p, err)
-			}
 			doc := &Doc{
 				SchemaVersion: SchemaVersion,
-				Campaign:      fmt.Sprintf("%s_g%d", WorkloadShort(w), p),
-				Workload:      WorkloadShort(w),
+				Campaign:      fmt.Sprintf("%s_g%d", wl, p),
+				Workload:      wl,
 				GOMAXPROCS:    p,
 				Profile:       profName,
-				Iters:         iters,
+				Iters:         spec.Iters,
 				Repeats:       spec.Repeats,
-				BatchK:        spec.BatchK,
 				Env:           env,
 			}
-			shardsByAlg := map[string]int{}
-			for _, a := range algs {
-				shardsByAlg[a.Name] = a.Shards
-			}
-			for _, pt := range pts {
-				c := cellFromPoint(pt, WorkloadShort(w), shardsByAlg[pt.Algorithm])
-				if c.Oversubscribed {
-					spec.logf("campaign: WARNING: cell [%s %s threads=%d gomaxprocs=%d] is oversubscribed: it measures scheduler multiplexing, not parallelism",
-						c.Series, c.Workload, c.Threads, c.GOMAXPROCS)
+			for _, k := range widths {
+				// Element-normalized iteration budget on the batch
+				// workloads.
+				iters := spec.Iters
+				if isBatch(w) {
+					if iters = spec.Iters / effectiveK(k); iters == 0 {
+						iters = 1
+					}
 				}
-				doc.Cells = append(doc.Cells, c)
+				spec.logf("campaign: measuring %s%s g%d (%d variants × %d thread counts × %d repeats)",
+					wl, widthLabel(k), p, len(algs), len(spec.Threads), spec.Repeats)
+				pts, err := harness.Sweep(algs, spec.Threads, harness.Config{
+					Workload: w, Iters: iters, Seed: 1, Profile: prof, BatchK: k,
+				}, spec.Repeats)
+				if err != nil {
+					return nil, fmt.Errorf("campaign: %s%s g%d: %w", wl, widthLabel(k), p, err)
+				}
+				for _, pt := range pts {
+					c := cellFromPoint(pt, wl, shardsByAlg[pt.Algorithm], k)
+					if c.Oversubscribed {
+						spec.logf("campaign: WARNING: cell [%s %s threads=%d gomaxprocs=%d] is oversubscribed: it measures scheduler multiplexing, not parallelism",
+							c.Series, c.Workload, c.Threads, c.GOMAXPROCS)
+					}
+					doc.Cells = append(doc.Cells, c)
+				}
 			}
 			docs = append(docs, doc)
 		}
@@ -289,8 +304,30 @@ func Run(spec Spec) ([]*Doc, error) {
 	return docs, nil
 }
 
-// cellFromPoint converts one harness sweep point into a snapshot cell.
-func cellFromPoint(pt harness.SweepPoint, workload string, shards int) Cell {
+func isBatch(w harness.Workload) bool {
+	return w == harness.BatchPairs || w == harness.BatchEnq
+}
+
+// effectiveK resolves a batch width, 0 standing for the harness default.
+func effectiveK(k int) int {
+	if k == 0 {
+		return 8
+	}
+	return k
+}
+
+// widthLabel is the series suffix of a cell run at batch width k: empty
+// for the default width, " [k=N]" for an explicit one.
+func widthLabel(k int) string {
+	if k == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" [k=%d]", k)
+}
+
+// cellFromPoint converts one harness sweep point, run at batch width k,
+// into a snapshot cell.
+func cellFromPoint(pt harness.SweepPoint, workload string, shards, k int) Cell {
 	totalOps := float64(pt.OpsPerIter * pt.Iters * pt.Threads)
 	ops := func(sec float64) float64 {
 		if sec <= 0 {
@@ -299,12 +336,13 @@ func cellFromPoint(pt harness.SweepPoint, workload string, shards int) Cell {
 		return totalOps / sec
 	}
 	return Cell{
-		Series:          pt.Algorithm,
+		Series:          pt.Algorithm + widthLabel(k),
 		Workload:        workload,
 		Threads:         pt.Threads,
 		GOMAXPROCS:      pt.GOMAXPROCS,
 		Oversubscribed:  pt.Threads > pt.GOMAXPROCS,
 		Shards:          shards,
+		BatchK:          k,
 		Iters:           pt.Iters,
 		OpsPerIter:      pt.OpsPerIter,
 		SecMean:         pt.Summary.Mean,
@@ -318,5 +356,7 @@ func cellFromPoint(pt harness.SweepPoint, workload string, shards int) Cell {
 		BytesPerOp:      pt.BytesPerOp,
 		FastHits:        pt.Metrics.FastHits(),
 		FastFallbacks:   pt.Metrics.FastFallbacks,
+		BatchEnqs:       pt.Metrics.BatchEnqs,
+		BatchEnqElems:   pt.Metrics.BatchEnqElems,
 	}
 }

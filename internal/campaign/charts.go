@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"wfq/internal/report"
 )
@@ -119,6 +120,19 @@ func Charts(docs []*Doc) map[string]string {
 		}
 	}
 	return out
+}
+
+// Table renders one document as the readable result of a run: median
+// ops/sec, one row per thread count, one column per series.
+func Table(d *Doc) *report.Table {
+	t := report.NewTable(
+		fmt.Sprintf("%s: GOMAXPROCS=%d, %s profile, %d iters/thread, median of %d",
+			d.Workload, d.GOMAXPROCS, d.Profile, d.Iters, d.Repeats),
+		"threads", "ops/s", seriesOrder(d.Cells))
+	for _, c := range d.Cells {
+		t.Set(strconv.Itoa(c.Threads), c.Series, report.Cell{Value: c.OpsPerSecMedian})
+	}
+	return t
 }
 
 // WriteCharts renders and writes the charts into dir, returning the

@@ -245,48 +245,57 @@ func FilterCells(docs []*Doc, keep func(CellKey) bool) []*Doc {
 // Remeasure re-runs every cell configuration of the baseline documents
 // against the current tree and returns candidate documents for Compare —
 // the live half of `wfqcampaign -gate` when no -candidate directory is
-// given. itersOverride and repeatsOverride, when positive, replace the
-// baseline's recorded budget (ops/sec statistics stay comparable because
-// they are per-operation rates).
+// given. Each batch width a document holds is rebuilt from its cells'
+// batch_k. itersOverride and repeatsOverride, when positive, replace the
+// baseline's budget (Spec.Iters units: elements on the batch workloads);
+// ops/sec statistics stay comparable because they are per-operation
+// rates.
 func Remeasure(baseline []*Doc, itersOverride, repeatsOverride int, logf func(string, ...any)) ([]*Doc, error) {
 	var out []*Doc
 	for _, d := range baseline {
-		iters := d.Iters
+		w, err := ParseWorkload(d.Workload)
+		if err != nil {
+			return nil, err
+		}
+		// The cells record their element-normalized iterations; scale
+		// back up to the budget Run normalizes from.
+		iters := d.Cells[0].Iters
+		if isBatch(w) {
+			iters *= effectiveK(d.Cells[0].BatchK)
+		}
 		if itersOverride > 0 {
 			iters = itersOverride
-		}
-		// The baseline doc records the already element-normalized iters;
-		// feed the spec the pre-normalized budget so Run's scaling lands
-		// back on the same per-cell iteration count.
-		specIters := iters
-		if d.Workload == "batchpairs" || d.Workload == "batchenq" {
-			k := d.BatchK
-			if k == 0 {
-				k = 8
-			}
-			specIters = iters * k
 		}
 		repeats := d.Repeats
 		if repeatsOverride > 0 {
 			repeats = repeatsOverride
 		}
-		var threads []int
-		seenT := map[int]bool{}
+		var variants []string
+		var threads, widths []int
+		seenV, seenT, seenK := map[string]bool{}, map[int]bool{}, map[int]bool{}
 		for _, c := range d.Cells {
+			if v := strings.TrimSuffix(c.Series, widthLabel(c.BatchK)); !seenV[v] {
+				seenV[v] = true
+				variants = append(variants, v)
+			}
 			if !seenT[c.Threads] {
 				seenT[c.Threads] = true
 				threads = append(threads, c.Threads)
 			}
+			if !seenK[c.BatchK] {
+				seenK[c.BatchK] = true
+				widths = append(widths, c.BatchK)
+			}
 		}
 		docs, err := Run(Spec{
-			Variants:  seriesOrder(d.Cells),
+			Variants:  variants,
 			Workloads: []string{d.Workload},
 			Threads:   threads,
 			Procs:     []int{d.GOMAXPROCS},
-			Iters:     specIters,
+			Iters:     iters,
 			Repeats:   repeats,
 			Profile:   d.Profile,
-			BatchK:    d.BatchK,
+			Batch:     widths,
 			Logf:      logf,
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,8 +65,12 @@ func TestProfileByName(t *testing.T) {
 			t.Fatalf("ProfileByName(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if _, err := ProfileByName("nonsense"); err == nil {
+	_, err := ProfileByName("nonsense")
+	if err == nil {
 		t.Fatal("want error for unknown profile")
+	}
+	if !strings.Contains(err.Error(), PermanentKill.String()) {
+		t.Fatalf("unknown-profile error does not list the profiles: %v", err)
 	}
 }
 

@@ -6,6 +6,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"wfq"
 	"wfq/internal/core"
 	"wfq/internal/msqueue"
@@ -313,12 +315,15 @@ func AllAlgorithms() []Algorithm {
 	}
 }
 
-// ByName finds an algorithm by its label; ok is false if unknown.
-func ByName(name string) (Algorithm, bool) {
+// ByName finds an algorithm by its label. An unknown label's error lists
+// every registered one.
+func ByName(name string) (Algorithm, error) {
+	var names []string
 	for _, a := range AllAlgorithms() {
 		if a.Name == name {
-			return a, true
+			return a, nil
 		}
+		names = append(names, a.Name)
 	}
-	return Algorithm{}, false
+	return Algorithm{}, fmt.Errorf("unknown algorithm %q (want one of %q)", name, names)
 }

@@ -34,9 +34,9 @@ func TestMeasureBlockingModes(t *testing.T) {
 // TestMeasureBlockingRequiresLifecycle: non-lifecycle algorithms are
 // rejected up front, not at a nil-interface panic mid-run.
 func TestMeasureBlockingRequiresLifecycle(t *testing.T) {
-	alg, ok := ByName("LF")
-	if !ok {
-		t.Skip("LF baseline not registered")
+	alg, err := ByName("LF")
+	if err != nil {
+		t.Skip(err)
 	}
 	if _, err := MeasureBlocking(alg, BlockingConfig{}, BlockingPark); err == nil {
 		t.Fatal("expected an error for a queue without Close/DequeueCtx")

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +39,10 @@ func TestShardedAlgorithmsAreTicketed(t *testing.T) {
 			t.Fatalf("%s: queue reports %d shards, algorithm declares %d", alg.Name, tq.Shards(), alg.Shards)
 		}
 	}
-	sh, _ := ByName("sharded WF")
+	sh, err := ByName("sharded WF")
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := sh.New(2).(queues.Ticketed)
 	if ticket := q.EnqueueTicket(0, 5); ticket != 0 {
 		t.Fatalf("first enqueue ticket %d", ticket)
@@ -50,13 +54,18 @@ func TestShardedAlgorithmsAreTicketed(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"LF", "base WF", "opt WF (1+2)", "fast WF", "fast WF+HP", "sharded WF", "sharded WF+HP", "mutex"} {
-		a, ok := ByName(name)
-		if !ok || a.Name != name {
-			t.Fatalf("ByName(%q) = (%q,%v)", name, a.Name, ok)
+		a, err := ByName(name)
+		if err != nil || a.Name != name {
+			t.Fatalf("ByName(%q) = (%q,%v)", name, a.Name, err)
 		}
 	}
-	if _, ok := ByName("nope"); ok {
+	_, err := ByName("nope")
+	if err == nil {
 		t.Fatal("unknown algorithm resolved")
+	}
+	// The error must point the caller at what does exist.
+	if msg := err.Error(); !strings.Contains(msg, `"nope"`) || !strings.Contains(msg, `"opt WF (1+2)"`) {
+		t.Fatalf("unknown-algorithm error does not list the registry: %v", err)
 	}
 }
 
@@ -140,13 +149,17 @@ func TestRunUnderProfiles(t *testing.T) {
 
 func TestProfileByName(t *testing.T) {
 	for _, name := range []string{"default", "preempt", "oversub"} {
-		p, ok := ProfileByName(name)
-		if !ok || p.Name != name {
-			t.Fatalf("ProfileByName(%q)", name)
+		p, err := ProfileByName(name)
+		if err != nil || p.Name != name {
+			t.Fatalf("ProfileByName(%q) = (%q,%v)", name, p.Name, err)
 		}
 	}
-	if _, ok := ProfileByName("windows"); ok {
+	_, err := ProfileByName("windows")
+	if err == nil {
 		t.Fatal("unknown profile resolved")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"windows"`) || !strings.Contains(msg, `"oversub"`) {
+		t.Fatalf("unknown-profile error does not list the profiles: %v", err)
 	}
 }
 

@@ -34,7 +34,10 @@ func TestMeasureLatencySampling(t *testing.T) {
 }
 
 func TestMeasureLatencyUnderProfile(t *testing.T) {
-	prof, _ := ProfileByName("preempt")
+	prof, err := ProfileByName("preempt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := MeasureLatency(BaseWF(), LatencyConfig{Threads: 2, Iters: 300, Profile: prof})
 	if err != nil {
 		t.Fatal(err)
@@ -61,9 +64,9 @@ func TestLatencyResultString(t *testing.T) {
 }
 
 func TestLFHPAlgorithm(t *testing.T) {
-	a, ok := ByName("LF+HP")
-	if !ok {
-		t.Fatal("LF+HP not registered")
+	a, err := ByName("LF+HP")
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := a.New(2)
 	q.Enqueue(0, 3)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -37,14 +38,17 @@ func Profiles() []Profile {
 	}
 }
 
-// ProfileByName finds a standard profile; ok is false if unknown.
-func ProfileByName(name string) (Profile, bool) {
+// ProfileByName finds a standard profile. An unknown name's error lists
+// every standard one.
+func ProfileByName(name string) (Profile, error) {
+	var names []string
 	for _, p := range Profiles() {
 		if p.Name == name {
-			return p, true
+			return p, nil
 		}
+		names = append(names, p.Name)
 	}
-	return Profile{}, false
+	return Profile{}, fmt.Errorf("unknown profile %q (want one of %q)", name, names)
 }
 
 // apply activates the profile and returns a restore function. The restore
@@ -70,7 +74,7 @@ func (p Profile) apply() (restore func()) {
 				}
 				runtime.Gosched()
 			}
-			sinkU64 = x
+			sinkU64.Store(x)
 		}()
 	}
 	return func() {
@@ -82,5 +86,6 @@ func (p Profile) apply() (restore func()) {
 	}
 }
 
-// sinkU64 defeats dead-code elimination of the background load.
-var sinkU64 uint64
+// sinkU64 defeats dead-code elimination of the background load. It is
+// atomic because every background goroutine stores to it.
+var sinkU64 atomic.Uint64

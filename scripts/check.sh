@@ -10,7 +10,7 @@ go test ./...
 # vet and unit-test it here so an API change cannot silently break it.
 go -C bench vet ./...
 go -C bench test -count=1 .
-go test -race ./internal/core/ ./internal/hazard/ ./internal/sharded/ ./internal/ring/
+go test -race ./internal/core/ ./internal/hazard/ ./internal/sharded/ ./internal/ring/ ./internal/harness/
 # Blocking stress under the race detector: the parking layer's lost-
 # wakeup and close/drain interleavings (internal/waiter), plus the
 # facade-level choreographed races, the concurrent close-drain
@@ -58,13 +58,10 @@ go run -race ./cmd/wfqchaos -quick -scenarios core-tree,ring-tree -profiles perm
 # in results/BENCH_polylog.json, regenerated via `wfqchaos -series`).
 go test -race ./internal/helptree/
 go test -run='^$' -bench BenchmarkStepSeries -benchtime=1x ./internal/chaos/
-# Ring bench smoke: the ring backend's fast path must run, not just
-# pass tests — a one-point comparison against fast WF catches gross
-# perf regressions (committed numbers live in results/BENCH_ring.json).
-go run ./cmd/wfqbench -algs 'fast WF,ring WF' -workload pairs -threads 1 -iters 5000 -repeats 1
 # Scaling observatory: campaign smoke + perf regression gate.
-# 1. A tiny live matrix exercises the runner, per-cell GOMAXPROCS
-#    stamping, snapshot and SVG chart paths end to end.
+# 1. A tiny live matrix (fast WF and ring WF on pairs) exercises the
+#    runner, per-cell GOMAXPROCS stamping, snapshot and SVG chart paths
+#    end to end.
 # 2. The gate must PASS on the committed baseline (loads every
 #    results/BENCH_campaign_*.json, matches all cells, zero regressions
 #    — this is also the schema-stays-parseable check).

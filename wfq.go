@@ -93,6 +93,7 @@ type Option func(*config)
 type config struct {
 	core     []core.Option // the linked engines' settings, in order
 	linked   string        // the first linked-engine-only option's name
+	gcOnly   string        // the first option only New's engine honours
 	patience int           // WithFastPath's resolved patience; 0 without it
 	shards   int
 	ringSeg  int
@@ -109,51 +110,60 @@ func (c *config) link(name string, o core.Option) {
 	}
 }
 
+// linkGC records a linked-engine setting that NewHP's engine does not
+// honour either; NewHP rejects it by name.
+func (c *config) linkGC(name string, o core.Option) {
+	c.link(name, o)
+	if c.gcOnly == "" {
+		c.gcOnly = name
+	}
+}
+
 // WithVariant selects an algorithm variant.
 func WithVariant(v Variant) Option {
-	return func(c *config) { c.link("WithVariant", core.WithVariant(v)) }
+	return func(c *config) { c.linkGC("WithVariant", core.WithVariant(v)) }
 }
 
 // WithHelpChunk sets how many state entries an Opt1/Opt12 operation
 // scans for helping candidates (default 1).
 func WithHelpChunk(k int) Option {
-	return func(c *config) { c.link("WithHelpChunk", core.WithHelpChunk(k)) }
+	return func(c *config) { c.linkGC("WithHelpChunk", core.WithHelpChunk(k)) }
 }
 
 // WithRandomHelping switches Opt1/Opt12 helping-candidate choice from
 // cyclic to random (probabilistic wait-freedom, §3.3).
 func WithRandomHelping() Option {
-	return func(c *config) { c.link("WithRandomHelping", core.WithRandomHelping()) }
+	return func(c *config) { c.linkGC("WithRandomHelping", core.WithRandomHelping()) }
 }
 
 // WithClearOnExit makes finished operations drop their node references
 // so completed threads pin no queue memory.
 func WithClearOnExit() Option {
-	return func(c *config) { c.link("WithClearOnExit", core.WithClearOnExit()) }
+	return func(c *config) { c.linkGC("WithClearOnExit", core.WithClearOnExit()) }
 }
 
 // WithDescriptorCache reuses descriptor allocations whose publication
 // CAS failed.
 func WithDescriptorCache() Option {
-	return func(c *config) { c.link("WithDescriptorCache", core.WithDescriptorCache()) }
+	return func(c *config) { c.linkGC("WithDescriptorCache", core.WithDescriptorCache()) }
 }
 
 // WithPhaseProvider overrides the Opt2/Opt12 phase source.
 func WithPhaseProvider(p phase.Provider) Option {
-	return func(c *config) { c.link("WithPhaseProvider", core.WithPhaseProvider(p)) }
+	return func(c *config) { c.linkGC("WithPhaseProvider", core.WithPhaseProvider(p)) }
 }
 
 // WithValidationChecks skips already-satisfied completion CASes (§3.3
 // performance-tuning enhancement).
 func WithValidationChecks() Option {
-	return func(c *config) { c.link("WithValidationChecks", core.WithValidationChecks()) }
+	return func(c *config) { c.linkGC("WithValidationChecks", core.WithValidationChecks()) }
 }
 
 // WithMetrics attaches internal event counters (help traffic, CAS
 // failures); read them via the core Queue's Metrics method when
 // constructing through internal/core directly.
 func WithMetrics() Option {
-	return func(c *config) { c.link("WithMetrics", core.WithMetrics()) }
+	return func(c *config) { c.linkGC("WithMetrics", core.WithMetrics()) }
 }
 
 // WithArena block-allocates queue nodes from per-thread arena segments
@@ -282,11 +292,14 @@ func New[T any](maxThreads int, opts ...Option) *Queue[T] {
 // garbage collector, demonstrating — and testing — the discipline a
 // runtime without GC would need. For ordinary Go use, prefer New. Of
 // the engine options, WithFastPath and WithArena are honoured; it
-// composes with WithShards and panics on WithRing.
+// composes with WithShards and panics naming any other option.
 func NewHP[T any](maxThreads, poolCap int, opts ...Option) *Queue[T] {
 	c := resolve(opts)
 	if c.ring {
 		panic("wfq: WithRing does not apply to NewHP")
+	}
+	if c.gcOnly != "" {
+		panic("wfq: " + c.gcOnly + " does not apply to NewHP")
 	}
 	c.poolCap = poolCap
 	return build(maxThreads, c, newHP[T])
