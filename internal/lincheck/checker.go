@@ -40,6 +40,16 @@ var ErrBadHistory = errors.New("lincheck: malformed history")
 
 // Checker runs the Wing–Gong linearizability search with Lowe-style
 // memoization. Zero value is usable; set Budget to bound worst-case work.
+//
+// Enqueues of values that no dequeue in the history returns (ghosts)
+// get two exact reductions. In any witness a ghost sits behind every
+// value that is ever dequeued and no empty dequeue follows it, so (1)
+// moving a ghost later, up to the point where it is the pending
+// operation with the earliest response, keeps the witness valid, and
+// the search tries a ghost only there; and (2) states that differ only
+// in which ghost sits where in the queue have the same future, so the
+// memo key writes every ghost alike. Without them the search enumerates
+// every order of concurrent enqueues that are never dequeued.
 type Checker struct {
 	// Budget limits the number of DFS steps (candidate applications).
 	// 0 means DefaultBudget. When exhausted the check returns Unknown.
@@ -85,11 +95,17 @@ func (c *Checker) CheckFrom(hist []Op, initial []int64) (Result, error) {
 	}
 
 	s := &search{
-		hist:   hist,
-		done:   make([]bool, n),
-		seen:   make(map[string]struct{}),
-		budget: budget,
-		order:  make([]int, 0, n),
+		hist:     hist,
+		done:     make([]bool, n),
+		seen:     make(map[string]struct{}),
+		dequeued: make(map[int64]bool),
+		budget:   budget,
+		order:    make([]int, 0, n),
+	}
+	for _, op := range hist {
+		if op.Kind == Deq && op.OK {
+			s.dequeued[op.Ret] = true
+		}
 	}
 	ok, exhausted := s.dfs(spec, 0)
 	switch {
@@ -151,12 +167,15 @@ func (c *Checker) CheckSharded(hist []Op) (Result, error) {
 }
 
 type search struct {
-	hist   []Op
-	done   []bool
-	seen   map[string]struct{}
-	budget int
-	order  []int
-	nDone  int
+	hist []Op
+	done []bool
+	seen map[string]struct{}
+	// dequeued holds every value some successful dequeue returns; an
+	// enqueue of any other value is a ghost (see dfs and stateKey).
+	dequeued map[int64]bool
+	budget   int
+	order    []int
+	nDone    int
 }
 
 // dfs tries to linearize the remaining operations given the current spec
@@ -191,6 +210,9 @@ func (s *search) dfs(spec *model.Queue, depth int) (ok, exhausted bool) {
 	for i, op := range s.hist {
 		if s.done[i] || op.Inv > minRes {
 			continue
+		}
+		if op.Kind == Enq && !s.dequeued[op.Arg] && op.Res != minRes {
+			continue // a ghost is tried only once it is forced (Checker)
 		}
 		s.budget--
 		// Apply op to a forked spec state if it is legal.
@@ -232,20 +254,23 @@ func (s *search) dfs(spec *model.Queue, depth int) (ok, exhausted bool) {
 
 // stateKey serializes (done-set, spec contents) exactly — no lossy
 // hashing — so the memoization can never prune a genuinely new state.
+// A ghost is written as one 0 byte, any other value as a 1 byte and its
+// eight bytes, which keeps the encoding unambiguous.
 func (s *search) stateKey(spec *model.Queue) string {
 	words := (len(s.done) + 7) / 8
-	buf := make([]byte, words+8*spec.Len()+8)
+	buf := make([]byte, words, words+9*spec.Len())
 	for i, d := range s.done {
 		if d {
 			buf[i/8] |= 1 << (i % 8)
 		}
 	}
-	off := words
-	binary.LittleEndian.PutUint64(buf[off:], uint64(spec.Len()))
-	off += 8
 	for _, v := range spec.Snapshot() {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
-		off += 8
+		if !s.dequeued[v] {
+			buf = append(buf, 0)
+			continue
+		}
+		buf = append(buf, 1)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	return string(buf)
 }

@@ -300,9 +300,11 @@ func (s *Session[T]) DequeueCtx(ctx context.Context) (T, error) {
 // expired request performs one conservation CAS — on success the
 // request's producer observes a wfq.ErrDeadlineExceeded-wrapped error
 // and the element becomes a tombstone for some future dequeue to
-// discard. Heap entries whose request already completed are collected
-// lazily on their way past the top.
-func (q *Queue[T]) sweep(now int64) (expired int) {
+// discard. Every expiry is counted (in the queue's stats and in tally,
+// when non-nil) before its producer is woken, so a producer that saw
+// its deadline error also sees the count. Heap entries whose request
+// already completed are collected lazily on their way past the top.
+func (q *Queue[T]) sweep(now int64, tally *atomic.Int64) (expired int) {
 	q.dl.mu.Lock()
 	defer q.dl.mu.Unlock()
 	for len(q.dl.h) > 0 {
@@ -315,11 +317,15 @@ func (q *Queue[T]) sweep(now int64) (expired int) {
 			return expired
 		}
 		r := q.dl.popLocked()
-		if r.complete(stExpired, fmt.Errorf("request on %q: %w", q.name, wfq.ErrDeadlineExceeded)) {
+		if r.claim(stExpired) {
 			q.expired.Add(1)
 			q.inflight.Add(-1)
 			q.depth.Add(-1)
+			if tally != nil {
+				tally.Add(1)
+			}
 			expired++
+			r.finish(fmt.Errorf("request on %q: %w", q.name, wfq.ErrDeadlineExceeded))
 		}
 	}
 	return expired
@@ -328,7 +334,7 @@ func (q *Queue[T]) sweep(now int64) (expired int) {
 // Sweep runs one timeout sweep against the given wall-clock time and
 // reports how many requests it expired. Registry.Tick calls it for
 // every registered queue; tests and embedders may drive it directly.
-func (q *Queue[T]) Sweep(now time.Time) int { return q.sweep(now.UnixNano()) }
+func (q *Queue[T]) Sweep(now time.Time) int { return q.sweep(now.UnixNano(), nil) }
 
 // ArmedPending reports the deadline heap's current size (armed requests
 // plus lazily-collectable completed entries); diagnostics only.

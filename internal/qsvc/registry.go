@@ -3,6 +3,7 @@ package qsvc
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,6 +21,8 @@ type Registry[T any] struct {
 	mu  sync.RWMutex
 	qs  map[string]*Queue[T]
 	gen uint64
+	// swept counts the requests Tick has expired (see Swept).
+	swept atomic.Int64
 }
 
 // NewRegistry builds an empty registry.
@@ -112,10 +115,15 @@ func (r *Registry[T]) Tick(now time.Time) int {
 	ns := now.UnixNano()
 	expired := 0
 	for _, q := range r.snapshot() {
-		expired += q.sweep(ns)
+		expired += q.sweep(ns, &r.swept)
 	}
 	return expired
 }
+
+// Swept reports the total number of requests Tick has expired. Each is
+// counted before its producer is woken, so a producer that observed its
+// expiry observes it counted here too.
+func (r *Registry[T]) Swept() int64 { return r.swept.Load() }
 
 // Stats snapshots every registered queue, ordered by name.
 func (r *Registry[T]) Stats() []Stats {

@@ -61,12 +61,22 @@ func (r *Req) Deadline() time.Time { return time.Unix(0, r.deadline) }
 // ever succeeds; the error write happens before the channel close, so
 // every Done-gated reader observes it.
 func (r *Req) complete(to int32, err error) bool {
-	if !r.state.CompareAndSwap(stPending, to) {
+	if !r.claim(to) {
 		return false
 	}
+	r.finish(err)
+	return true
+}
+
+// claim is complete's CAS alone: the winner owns the request and must
+// call finish. Splitting the two lets the winner publish its accounting
+// before the producer wakes.
+func (r *Req) claim(to int32) bool { return r.state.CompareAndSwap(stPending, to) }
+
+// finish records err and closes Done; only claim's winner calls it.
+func (r *Req) finish(err error) {
 	r.err = err
 	close(r.done)
-	return true
 }
 
 // dlHeap is the per-queue deadline min-heap the timeout sweep pops.

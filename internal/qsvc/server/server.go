@@ -29,7 +29,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wfq"
@@ -66,7 +65,6 @@ type Server struct {
 
 	sweepDone chan struct{}
 	wg        sync.WaitGroup
-	swept     atomic.Int64
 }
 
 // New builds a server around a fresh registry.
@@ -89,8 +87,10 @@ func New(opts Options) *Server {
 func (s *Server) Registry() *qsvc.Registry[[]byte] { return s.reg }
 
 // Swept reports the total number of requests the sweep ticker has
-// expired since the server started.
-func (s *Server) Swept() int64 { return s.swept.Load() }
+// expired since the server started. A request is counted before its
+// waiting handler is woken, so a client that has received the deadline
+// error already sees it here.
+func (s *Server) Swept() int64 { return s.reg.Swept() }
 
 // Listen binds addr (host:port; ":0" picks a free port), starts the
 // accept loop and the sweep ticker, and returns the bound address.
@@ -145,7 +145,7 @@ func (s *Server) sweeper() {
 		case <-s.sweepDone:
 			return
 		case now := <-t.C:
-			s.swept.Add(int64(s.reg.Tick(now)))
+			s.reg.Tick(now)
 		}
 	}
 }

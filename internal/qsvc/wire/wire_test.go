@@ -61,13 +61,17 @@ func TestRequestRoundtrip(t *testing.T) {
 	}
 }
 
+// roundtripResponses covers the response header and payload;
+// TestResponseRoundtrip and FuzzDecodeResponse's seeds share it.
+var roundtripResponses = []Response{
+	{Status: StOK, Aux: 42, Payload: []byte("payload")},
+	{Status: StEmpty},
+	{Status: StErr, Payload: []byte("boom")},
+}
+
 // TestResponseRoundtrip covers the response header and payload.
 func TestResponseRoundtrip(t *testing.T) {
-	for _, in := range []Response{
-		{Status: StOK, Aux: 42, Payload: []byte("payload")},
-		{Status: StEmpty},
-		{Status: StErr, Payload: []byte("boom")},
-	} {
+	for _, in := range roundtripResponses {
 		out, err := DecodeResponse(in.EncodeResponse(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -210,6 +214,36 @@ func FuzzDecodeRequest(f *testing.F) {
 		body, err := ReadFrameInto(bytes.NewReader(b), []byte("reused storage"))
 		if err == nil && (len(b) < 4 || len(body) > len(b)-4 || !bytes.Equal(body, b[4:4+len(body)])) {
 			t.Fatalf("ReadFrameInto returned %d bytes from a %d-byte input", len(body), len(b))
+		}
+	})
+}
+
+// FuzzDecodeResponse: the client's response decoder on arbitrary bytes.
+// An accepted body re-encodes to exactly the same bytes and decodes to
+// the same response; anything else is rejected with an error, never a
+// panic.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, p := range roundtripResponses {
+		f.Add(p.EncodeResponse(nil))
+	}
+	f.Add([]byte(nil))
+	f.Add([]byte{StOK})
+	f.Add([]byte{StErr, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodeResponse(b)
+		if err != nil {
+			if len(b) >= 9 {
+				t.Fatalf("rejected a %d-byte body: %v", len(b), err)
+			}
+			return
+		}
+		enc := p.EncodeResponse(nil)
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("accepted %x re-encodes to %x", b, enc)
+		}
+		again, err := DecodeResponse(enc)
+		if err != nil || again.Status != p.Status || again.Aux != p.Aux || !bytes.Equal(again.Payload, p.Payload) {
+			t.Fatalf("re-encode roundtrip: %+v (%v), want %+v", again, err, p)
 		}
 	})
 }

@@ -64,7 +64,7 @@
 //
 // A frozen thread can stall a peer's ring operation in three ways: the
 // burn-and-retry loop (a dequeuer repeatedly burns the enqueuer's
-// claims), the segment-boundary install, and the free-list recycle race.
+// claims), the segment-boundary install, and the segment recycle race.
 // The boundary and recycle windows were already help-complete in PR 6
 // (any thread finishes the install/swing; the retire scan refuses unsafe
 // recycling). The burn loop was not: it is the window this file closes.

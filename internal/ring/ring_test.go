@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestBatchVsModel(t *testing.T) {
 
 // TestRecyclingBoundedMemory is the bounded-memory claim as a test: a
 // long steady-state pairs run over small segments must recycle segments
-// through the free list instead of allocating — Allocated stays a small
+// through the pool instead of allocating — Allocated stays a small
 // constant while Reused grows with the boundary crossings — and the
 // live chain never grows past the steady-state handful.
 func TestRecyclingBoundedMemory(t *testing.T) {
@@ -138,9 +139,13 @@ func TestRecyclingBoundedMemory(t *testing.T) {
 	}
 	st := q.Stats()
 	if st.Reused == 0 {
-		t.Fatalf("no free-list reuse after 200 boundary crossings: %+v", st)
+		t.Fatalf("no pool reuse after 200 boundary crossings: %+v", st)
 	}
-	if st.Allocated > int64(2+len(q.free)) {
+	// The steady state needs two segments: one draining, one filling. A
+	// third covers two collections emptying the pool mid-run. Under the
+	// race detector the pool drops a quarter of its Puts, so there most,
+	// not all, crossings must reuse.
+	if (!raceEnabled && st.Allocated > 3) || st.Allocated > st.Reused {
 		t.Fatalf("steady state kept allocating segments: %+v", st)
 	}
 	if st.LiveSegments > 2 {
@@ -148,6 +153,50 @@ func TestRecyclingBoundedMemory(t *testing.T) {
 	}
 	if st.Recycled == 0 || st.DeqBurns != 0 || st.EnqRetries != 0 {
 		t.Fatalf("unexpected slow-lane traffic in sequential run: %+v", st)
+	}
+}
+
+// TestBacklogRefillReusesSegments: the segments a drained backlog
+// leaves behind are reused by the next refill. Collection is off for
+// the test, so nothing empties the pool between cycles: the second
+// 64-segment fill+drain allocates no segment, and a whole cycle makes
+// no heap allocation at all.
+func TestBacklogRefillReusesSegments(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of Puts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const segSize, segs = 16, 64
+	q := New[int64](1, segSize)
+	// Fill and drain the root segment first, so every cycle starts at a
+	// full tail segment and spans exactly segs fresh ones.
+	for i := int64(0); i < segSize; i++ {
+		q.Enqueue(0, i)
+		q.Dequeue(0)
+	}
+	cycle := func() {
+		for i := int64(0); i < segSize*segs; i++ {
+			q.Enqueue(0, i)
+		}
+		for i := int64(0); i < segSize*segs; i++ {
+			if v, ok := q.Dequeue(0); !ok || v != i {
+				t.Fatalf("drain %d: got (%d,%v)", i, v, ok)
+			}
+		}
+	}
+	cycle()
+	first := q.Stats()
+	cycle()
+	second := q.Stats()
+	if second.Allocated != first.Allocated {
+		t.Fatalf("refill allocated %d segments: first %+v, second %+v",
+			second.Allocated-first.Allocated, first, second)
+	}
+	if second.Reused-first.Reused != segs {
+		t.Fatalf("refill reused %d segments, want %d: %+v", second.Reused-first.Reused, segs, second)
+	}
+	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {
+		t.Fatalf("backlog fill+drain cycle allocates: %v allocs/run", allocs)
 	}
 }
 

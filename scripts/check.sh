@@ -36,6 +36,9 @@ go test -run='^$' -fuzz='^FuzzRing$' -fuzztime=10s ./internal/ring/
 # The wire decoder and frame reader on arbitrary bytes, decoding into a
 # Request reused from an earlier frame: no panic, nothing stale.
 go test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=10s ./internal/qsvc/wire/
+# The client's response decoder: accepted bodies re-encode byte for
+# byte, short ones are rejected.
+go test -run='^$' -fuzz='^FuzzDecodeResponse$' -fuzztime=10s ./internal/qsvc/wire/
 # Chaos smoke: the seeded stall-injection antagonist + wait-freedom
 # step-bound watchdog across every frontend and adversary profile,
 # under the race detector (exits nonzero on any violation, with the
