@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"wfq/internal/model"
+	"wfq/internal/xrand"
 )
 
 // bruteCheck decides linearizability by enumerating every permutation of
@@ -148,5 +149,60 @@ func TestCheckerVsBruteForceQuick(t *testing.T) {
 		return got == bruteCheck(hist, initial)
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// genGhostHistory draws a random well-formed history of n ops in which
+// enqueues range over more values than dequeues return, so most
+// histories hold ghosts (enqueued values no dequeue returns) next to
+// dequeued ones, often with the same value enqueued twice.
+func genGhostHistory(rng *xrand.Xoshiro256, n int) []Op {
+	hist := make([]Op, n)
+	seen := map[int64]bool{}
+	for i := range hist {
+		op := Op{ID: i, TID: rng.Intn(3), Inv: int64(i + 1)}
+		switch rng.Intn(5) {
+		case 0, 1, 2:
+			op.Kind, op.Arg, op.OK = Enq, int64(rng.Intn(6)), true
+		case 3:
+			op.Kind, op.Ret, op.OK = Deq, int64(rng.Intn(3)), true
+		default:
+			op.Kind = Deq
+		}
+		op.Res = op.Inv + 1 + int64(rng.Intn(8))
+		for seen[op.Res] {
+			op.Res++
+		}
+		seen[op.Res] = true
+		hist[i] = op
+	}
+	return hist
+}
+
+// TestGhostReductionsVsBruteForce pins the Checker's ghost reductions
+// (see its doc comment) against the unreduced, unmemoized bruteCheck on
+// histories longer than genHistory's and dominated by ghosts, with and
+// without an initial queue whose value may itself be a ghost.
+func TestGhostReductionsVsBruteForce(t *testing.T) {
+	rng := xrand.New(15)
+	verdicts := map[Result]int{}
+	for i := 0; i < 20000; i++ {
+		hist := genGhostHistory(rng, 4+rng.Intn(5))
+		var initial []int64
+		if rng.Bool() {
+			initial = []int64{int64(rng.Intn(6))}
+		}
+		var c Checker
+		got, err := c.CheckFrom(hist, initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteCheck(hist, initial); got != want {
+			t.Fatalf("checker=%v brute=%v for history %v (initial %v)", got, want, hist, initial)
+		}
+		verdicts[got]++
+	}
+	if verdicts[Linearizable] == 0 || verdicts[NotLinearizable] == 0 {
+		t.Fatalf("differential saw one verdict only: %v", verdicts)
 	}
 }
