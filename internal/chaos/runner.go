@@ -248,9 +248,9 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 		const nshards = 4
 		shards := make([]sharded.Shard[int64], nshards)
 		for i := range shards {
-			// Small segments + patience 0: boundary crossings, ticketed
-			// segment drops, and helping records all behind the ticket
-			// dispatcher.
+			// Small segments + patience 0: boundary crossings, recycling
+			// of ticketed segments, and helping records all behind the
+			// ticket dispatcher.
 			shards[i] = ring.New[int64](nthreads, 64, ring.WithPatience(0))
 		}
 		q := sharded.New[int64](nthreads, shards)
@@ -265,7 +265,7 @@ func buildFrontend(name string, nthreads int) (*frontend, error) {
 		}, nil
 	case "ring-tree":
 		// Tree-focused ring row: small segments force frequent boundary
-		// crossings and ticketed drops while every op goes slow, and the
+		// crossings and ticketed recycles while every op goes slow, and the
 		// adversary targets ONLY the helptree windows — freezing victims
 		// mid-propagate/descend is its whole strategy. Exercises the
 		// stale-aggregate repair path harder than ring-wf (where tree

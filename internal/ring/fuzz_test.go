@@ -34,8 +34,8 @@ var fuzzConfigs = []struct {
 // protocol, or the helping slow path; segSize 1 and 4 make the fuzzer
 // cross boundaries on nearly every operation, and the patience-0
 // configuration forces every operation through publish/ticket/
-// reserve/finalize/promote (including ticketed-segment drops at every
-// retirement).
+// reserve/finalize/promote (including the recycling of segments that
+// carried tickets at every retirement).
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{0x00, 0x02, 0x01, 0x03})                         // enq enq deq deq
 	f.Add([]byte{0x01})                                           // deq on empty
@@ -43,7 +43,7 @@ func FuzzRing(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
 	// Regression seed for the helping slow path: alternating bursts that
 	// drain to empty (doneDeqEmpty finalization), refill across segment
-	// boundaries (ticketed-segment drops at segSize 1 and 4), and mix
+	// boundaries (ticketed segments recycled at segSize 1 and 4), and mix
 	// tids so records cycle through all four slots of the record table.
 	f.Add([]byte{
 		0x00, 0x02, 0x04, 0x06, 0x01, 0x03, 0x05, 0x07, 0x01, 0x03,

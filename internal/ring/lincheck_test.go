@@ -128,9 +128,13 @@ func TestLinearizableBatchHistories(t *testing.T) {
 // done, so any value the helpers delivered out of the victim's pending
 // operation was delivered strictly inside its Begin/End span. Histories
 // are short for the same reason as in TestLinearizableBatchHistories;
-// the Stats check below confirms each round still helped.
+// the Stats check below confirms each round still helped. At segSize 2
+// at least one round must also recycle a retired segment, so the
+// checker sees histories in which segments that carried helping
+// tickets are reused.
 func TestLinearizableHelpedHistories(t *testing.T) {
 	for _, segSize := range []int{2, 8} {
+		recycledRounds := 0
 		for round := 0; round < 8; round++ {
 			const workers = 3
 			const ops = 8
@@ -234,6 +238,13 @@ func TestLinearizableHelpedHistories(t *testing.T) {
 			if st.HelpFinalizes == 0 {
 				t.Fatalf("segSize=%d round %d: no operation was finished by a helper: %+v", segSize, round, st)
 			}
+			if st.Recycled > 0 && st.SlowEnqs+st.SlowDeqs > 0 {
+				recycledRounds++
+			}
+		}
+		t.Logf("segSize=%d: %d of 8 rounds recycled a segment", segSize, recycledRounds)
+		if segSize == 2 && recycledRounds == 0 {
+			t.Fatalf("segSize=%d: no round recycled a segment", segSize)
 		}
 	}
 }
