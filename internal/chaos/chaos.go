@@ -57,8 +57,9 @@ const (
 	// thread frozen here leaves a claimed sentinel blocking the head.
 	ClassDeqCAS
 	// ClassChain: windows inside a batch enqueuer's chain publication
-	// and tail swing — a thread frozen here leaves a whole chain
-	// dangling.
+	// and tail swing, and the ring's segment install, swing and retire
+	// scan — a thread frozen here leaves a whole chain dangling, or a
+	// retired segment neither recycled nor dropped.
 	ClassChain
 	// ClassTicket: the sharded frontend's fetch-ticket-to-shard-access
 	// handoff — a thread frozen here holds a dispatch ticket whose
@@ -74,11 +75,11 @@ const (
 	// freeze-and-leave-broken targets.
 	ClassRetry
 	// ClassHelp: the ring backend's wait-free slow path — record
-	// publish, ticket publish, helper scan, finalize, promote. A thread
-	// frozen here leaves a pending request descriptor (and possibly a
-	// reserved slot) that the helping protocol obliges everyone else to
-	// finish; the watchdog bound must survive victims parked at every
-	// one of these windows.
+	// publish, ticket publish, helper scan and pin, finalize, promote.
+	// A thread frozen here leaves a pending request descriptor (and
+	// possibly a reserved slot) that the helping protocol obliges
+	// everyone else to finish; the watchdog bound must survive victims
+	// parked at every one of these windows.
 	ClassHelp
 	// ClassTree: the helptree announcement structure's windows —
 	// leaf-to-root propagation, aggregate-refresh CAS, root-to-leaf
@@ -114,7 +115,8 @@ func Classify(p yield.Point) Class {
 		yield.KPFastBeforeDeqTidCAS, yield.KPFastAfterDeqTidCAS,
 		yield.MSBeforeHeadCAS, yield.RGDeqClaim:
 		return ClassDeqCAS
-	case yield.KPChainAfterAppend, yield.KPChainBeforeSwing, yield.RGSegAdvance:
+	case yield.KPChainAfterAppend, yield.KPChainBeforeSwing, yield.RGSegAdvance,
+		yield.RGRetireScan:
 		return ClassChain
 	case yield.SHEnqTicket, yield.SHDeqTicket:
 		return ClassTicket
@@ -122,7 +124,8 @@ func Classify(p yield.Point) Class {
 		yield.WQNotify, yield.WQCloseBroadcast:
 		return ClassPark
 	case yield.RGHelpPublish, yield.RGHelpClaim, yield.RGHelpTicket,
-		yield.RGHelpScan, yield.RGHelpFinalize, yield.RGHelpPromote:
+		yield.RGHelpScan, yield.RGHelpFinalize, yield.RGHelpPromote,
+		yield.RGHelpPinned:
 		return ClassHelp
 	case yield.HTPropagate, yield.HTRefresh, yield.HTDescend:
 		return ClassTree

@@ -21,6 +21,8 @@ func TestClassify(t *testing.T) {
 		yield.RGDeqClaim:           ClassDeqCAS,
 		yield.RGSegAdvance:         ClassChain,
 		yield.RGRetry:              ClassRetry,
+		yield.RGRetireScan:         ClassChain,
+		yield.RGHelpPinned:         ClassHelp,
 		yield.SHEnqTicket:          ClassTicket,
 		yield.SHDeqTicket:          ClassTicket,
 		yield.WQBeforePark:         ClassPark,
