@@ -1,11 +1,13 @@
 package explore
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"wfq/internal/core"
 	"wfq/internal/queues"
+	"wfq/internal/ring"
 )
 
 func kpBase(n int) queues.Queue { return core.New[int64](n) }
@@ -287,4 +289,51 @@ func (l *lossy) Dequeue(_ int) (int64, bool) {
 	v := l.xs[0]
 	l.xs = l.xs[1:]
 	return v, true
+}
+
+// ringSlow builds the ring engine with every operation on the helping
+// slow path (patience 0): each enqueue publishes a ticket and reserves
+// its slot, and each dequeue publishes a ticket on its claim. Segments
+// of one or two slots put a boundary install, a head swing and a retire
+// next to nearly every step.
+func ringSlow(segSize int) func(int) queues.Queue {
+	return func(n int) queues.Queue { return ring.New[int64](n, segSize, ring.WithPatience(0)) }
+}
+
+// TestRingSlowPathInterleavings samples schedules of the ring's
+// reserve/finalize/promote and burn/re-claim protocol, with segment
+// install, retire and pooling in between, over the enq‖deq race and two
+// enq+deq pairs. The burn/re-claim loops have no bound, so a depth-first
+// search does not finish; this is seeded random sampling (Complete is
+// always false), not an exhaustive proof. Every sampled schedule must
+// linearize and conserve values.
+func TestRingSlowPathInterleavings(t *testing.T) {
+	progs := []struct {
+		name string
+		prog [][]Op
+	}{
+		{"enq-deq", [][]Op{{EnqOp(7)}, {DeqOp()}}},
+		{"pairs", [][]Op{{EnqOp(1), DeqOp()}, {EnqOp(2), DeqOp()}}},
+	}
+	for _, segSize := range []int{1, 2} {
+		for _, p := range progs {
+			t.Run(fmt.Sprintf("seg%d/%s", segSize, p.name), func(t *testing.T) {
+				rep, err := Explore(Options{
+					Progs:    p.prog,
+					NewQueue: ringSlow(segSize),
+					MaxRuns:  10000,
+					Random:   true,
+					Seed:     uint64(segSize)*1000 + uint64(len(p.prog[0])),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range rep.Failures {
+					t.Errorf("violation: %s\n  schedule: %v", f.Reason, f.Schedule)
+				}
+				t.Logf("%d sampled schedules (complete=%v), max %d decisions",
+					rep.Runs, rep.Complete, rep.MaxDecisions)
+			})
+		}
+	}
 }

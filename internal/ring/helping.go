@@ -24,17 +24,31 @@
 //	ctl  = seq<<3 | state      request descriptor: one state machine
 //	                           idle -> enqPending -> doneEnq -> idle
 //	                           idle -> deqPending -> doneDeqVal|doneDeqEmpty -> idle
-//	                           seq increments once per published request, so a
-//	                           finalize CAS can only land on the request it
-//	                           was read from.
-//	resv = seq<<16 | tid       slot identity word: written by the ticket's
-//	                           owner BEFORE the ticket is published, so a
-//	                           claimant finding the slot reserved can find
-//	                           the record (tid) and the request (seq) that
-//	                           reserved it without any ambient context.
-//	tPub = kind<<63|tkt<<20|idx+1  the ticket. tkt is monotone over the
-//	                           record's lifetime, so a ticket word never
-//	                           repeats; 0 means "no ticket".
+//	                           seq increments (mod 2^45) once per published
+//	                           request, so a finalize CAS can only land on
+//	                           the request it was read from.
+//	slot = (seq<<16|tid)<<3 | reserved   the slot word in its reserved
+//	                           form (other states are the bare state): the
+//	                           reserve CAS takes the slot from empty straight
+//	                           to this word, by the owner or by a helper
+//	                           from the owner's tid and the seq of the ctl
+//	                           word it validated, so a claimant finding the
+//	                           slot reserved reads the record (tid) and the
+//	                           request (seq) that reserved it from the same
+//	                           word, without any ambient context.
+//	tPub = kind<<63|tkt<<20|idx+1  the ticket; 0 means "no ticket".
+//
+// Both counters wrap: seq at seqBits (45) bits, so the seq in ctl and
+// the seq in a reserved slot word compare exactly, and tkt at 43 bits,
+// what the ticket word leaves it. A wrapped value could be confused
+// with an old one only by a thread that read a word and then slept
+// through 2^45 requests (2^43 tickets) of the same record before its
+// compare: the owner's requests are strictly sequential, so that is
+// days of one thread's back-to-back slow operations while another is
+// parked between two adjacent steps. No other copy outlives its
+// request: a reserved slot is promoted before its request closes
+// (finishEnqSlow), and a ticket is dead before its next one is
+// published.
 //
 // # Why helpers can trust what they read
 //
@@ -121,10 +135,22 @@ func ctlWord(seq, state uint64) uint64 { return seq<<3 | state }
 func ctlState(w uint64) uint64         { return w & hsMask }
 func ctlSeq(w uint64) uint64           { return w >> 3 }
 
-// resv packs the reserving request's identity into the slot.
-func packResv(tid int, seq uint64) uint64 { return seq<<16 | uint64(tid) }
-func unpackResv(w uint64) (tid int, seq uint64) {
-	return int(w & 0xffff), w >> 16
+// Reserved slot word layout: seq above a 16-bit tid above the state
+// bits. seqBits is what the 64-bit word leaves for seq, and openRequest
+// wraps the record's seq to it (see "Words and their encodings").
+const (
+	tidBits        = 16
+	seqBits        = 64 - tidBits - stateBits
+	seqMask uint64 = 1<<seqBits - 1
+)
+
+// reservedWord is the slot word that reserves a slot for request seq of
+// record tid; reservedBy decodes it.
+func reservedWord(tid int, seq uint64) uint64 {
+	return (seq<<tidBits|uint64(tid))<<stateBits | slotReserved
+}
+func reservedBy(w uint64) (tid int, seq uint64) {
+	return int(w >> stateBits & (1<<tidBits - 1)), w >> (stateBits + tidBits)
 }
 
 // Ticket word layout. idx is stored +1 so the zero word means "none".
@@ -132,13 +158,14 @@ const (
 	tktKindDeq uint64 = 1 << 63
 	tktIdxMask uint64 = 1<<20 - 1
 	// maxSegSlots bounds segSize so a slot index always fits the ticket
-	// word (and tid fits resv's low 16 bits — checked in New).
+	// word (and tid fits the reserved slot word's tid field — checked in
+	// New).
 	maxSegSlots = int(tktIdxMask) - 1
-	maxThreads  = 1 << 16
+	maxThreads  = 1 << tidBits
 )
 
 func packTicket(deq bool, tkt, idx uint64) uint64 {
-	w := tkt<<20 | (idx + 1)
+	w := tkt<<20&^tktKindDeq | (idx + 1) // tkt wraps at 43 bits
 	if deq {
 		w |= tktKindDeq
 	}
@@ -184,7 +211,7 @@ func (rec *helpRec[T]) publishTicket(s *segment[T], deq bool, idx uint64) {
 // request (or none) — the publish-order invariant.
 func (q *Queue[T]) openRequest(tid int, state uint64) (rec *helpRec[T], seq uint64) {
 	rec = &q.recs[tid]
-	rec.seq++
+	rec.seq = (rec.seq + 1) & seqMask
 	seq = rec.seq
 	// The request's helptree priority: globally monotone, so "oldest
 	// announced" means "longest waiting", and per-thread strictly
@@ -250,12 +277,11 @@ func (q *Queue[T]) enqueueSlow(tid int, v T) {
 		yield.At(yield.RGHelpClaim, tid, tid)
 		sl := &s.slots[t]
 		sl.val = v
-		sl.resv.Store(packResv(tid, seq))
 		rec.publishTicket(s, false, t)
 		q.announceHelp(rec)
 		yield.At(yield.RGHelpTicket, tid, tid)
-		if !sl.state.CompareAndSwap(slotEmpty, slotReserved) &&
-			sl.state.Load() == slotUnsafe {
+		rw := reservedWord(tid, seq)
+		if !sl.word.CompareAndSwap(slotEmpty, rw) && sl.word.Load() == slotUnsafe {
 			// Burned before anyone reserved: the attempt never happened,
 			// and no helper can decide the request through it. Kill the
 			// ticket before enter moves our announcement off s.
@@ -268,23 +294,20 @@ func (q *Queue[T]) enqueueSlow(tid int, v T) {
 		// helpers: finalize, then make the slot durable before idling.
 		yield.At(yield.RGHelpFinalize, tid, tid)
 		rec.ctl.CompareAndSwap(ctlWord(seq, hsEnqPending), ctlWord(seq, hsDoneEnq))
-		q.finishEnqSlow(tid, rec, seq)
+		q.finishEnqSlow(tid, rec, sl, rw, seq)
 		return
 	}
 }
 
-// finishEnqSlow promotes the finalized request's reserved slot to
-// committed (a no-op if a helper or the slot's claimant already did) and
-// retires the record. The promote MUST precede closeRequest: a claimant
-// that finds a reserved slot whose record has moved past seq could no
-// longer prove the request completed through it.
-func (q *Queue[T]) finishEnqSlow(tid int, rec *helpRec[T], seq uint64) {
-	// Ticket assignment is owner-exclusive, so the current ticket is
-	// ours and consistent without the seqlock dance.
-	s := rec.tSeg.Load()
-	sl := &s.slots[ticketIdx(rec.tPub.Load())]
+// finishEnqSlow promotes the finalized request's slot from its reserved
+// word rw to committed (a no-op if a helper or the slot's claimant
+// already did) and retires the record. The promote MUST precede
+// closeRequest: a claimant that finds a reserved slot whose record has
+// moved past seq could no longer prove the request completed through
+// it.
+func (q *Queue[T]) finishEnqSlow(tid int, rec *helpRec[T], sl *slot[T], rw, seq uint64) {
 	yield.At(yield.RGHelpPromote, tid, tid)
-	sl.state.CompareAndSwap(slotReserved, slotCommitted)
+	sl.word.CompareAndSwap(rw, slotCommitted)
 	q.closeRequest(rec, seq)
 }
 
@@ -323,7 +346,8 @@ func (q *Queue[T]) dequeueSlow(tid int) (v T, ok bool) {
 		yield.At(yield.RGHelpTicket, tid, tid)
 	resolve:
 		for {
-			switch sl.state.Load() {
+			w := sl.word.Load()
+			switch w & slotMask {
 			case slotCommitted:
 				yield.At(yield.RGHelpFinalize, tid, tid)
 				rec.ctl.CompareAndSwap(ctlWord(seq, hsDeqPending), ctlWord(seq, hsDoneDeqVal))
@@ -332,10 +356,10 @@ func (q *Queue[T]) dequeueSlow(tid int) (v T, ok bool) {
 				// at the ticket slot is this request's result.
 				return q.finishDeqVal(tid, rec, seq)
 			case slotReserved:
-				q.resolveReserved(tid, sl)
+				q.resolveReserved(tid, sl, w)
 			case slotEmpty:
 				yield.At(yield.RGDeqClaim, tid, tid)
-				if sl.state.CompareAndSwap(slotEmpty, slotUnsafe) {
+				if sl.word.CompareAndSwap(slotEmpty, slotUnsafe) {
 					q.deqBurns.Add(1)
 					if s.enqIdx.Load() <= h+1 && s.next.Load() == nil {
 						return q.finishDeqEmpty(tid, rec, seq)
@@ -368,7 +392,7 @@ func (q *Queue[T]) finishDeqVal(tid int, rec *helpRec[T], seq uint64) (T, bool) 
 	sl := &s.slots[ticketIdx(rec.tPub.Load())]
 	v := sl.val
 	yield.At(yield.RGHelpPromote, tid, tid)
-	sl.state.Store(slotConsumed)
+	sl.word.Store(slotConsumed)
 	q.closeRequest(rec, seq)
 	return v, true
 }
@@ -391,8 +415,11 @@ func (q *Queue[T]) finishDeqEmpty(tid int, rec *helpRec[T], seq uint64) (T, bool
 // resolveReserved drives a reserved slot forward: finalize the owning
 // enqueue request if it is still pending, then promote the slot to
 // committed. Called by any dequeuer whose claim lands on a reserved slot
-// (instead of burning it — that is the point) and by deq-ticket helpers.
-// Bounded: one finalize CAS plus one promote CAS.
+// (instead of burning it — that is the point) and by deq-ticket helpers,
+// with the reserved word w the caller branched on: the owner and request
+// are decoded from w, and the promote is CAS(w → committed), so it can
+// only act on the reservation the caller saw. Bounded: one finalize CAS
+// plus one promote CAS.
 //
 // Soundness of the unconditional promote: a reserved slot always belongs
 // to its record's CURRENT attempt (tickets move only after the previous
@@ -401,8 +428,8 @@ func (q *Queue[T]) finishDeqEmpty(tid int, rec *helpRec[T], seq uint64) (T, bool
 // finalized through this very slot or is about to be; promoting early
 // merely lets the claimant consume a value whose enqueue is already
 // decided.
-func (q *Queue[T]) resolveReserved(tid int, sl *slot[T]) {
-	owner, seq := unpackResv(sl.resv.Load())
+func (q *Queue[T]) resolveReserved(tid int, sl *slot[T], w uint64) {
+	owner, seq := reservedBy(w)
 	rec := &q.recs[owner]
 	if rec.ctl.Load() == ctlWord(seq, hsEnqPending) {
 		yield.At(yield.RGHelpFinalize, tid, owner)
@@ -411,7 +438,7 @@ func (q *Queue[T]) resolveReserved(tid int, sl *slot[T]) {
 		}
 	}
 	yield.At(yield.RGHelpPromote, tid, owner)
-	sl.state.CompareAndSwap(slotReserved, slotCommitted)
+	sl.word.CompareAndSwap(w, slotCommitted)
 }
 
 // helpOldest is the helping obligation every operation pays at entry
@@ -504,18 +531,16 @@ func (q *Queue[T]) helpRecord(tid, owner int, w uint64, fromTree bool) bool {
 }
 
 // helpEnqTicket performs the reserve/finalize/promote steps for a
-// validated enqueue ticket of the request ctl names. The ticket may die
-// under us — a dequeuer burns the slot before anyone reserves it — and
-// then the reserve CAS fails on unsafe, which is terminal in the segment
-// life our announcement pins. Any other outcome means the slot is
-// reserved for this request, so finalizing ctl is sound.
+// validated enqueue ticket of the request ctl names. It reserves with
+// the same word the owner would, built from owner and ctl's seq, so
+// whichever reserve CAS wins, the slot names this request. The ticket
+// may die under us — a dequeuer burns the slot before anyone reserves
+// it — and then the reserve CAS fails on unsafe, which is terminal in
+// the segment life our announcement pins. Any other outcome means the
+// slot is reserved for this request, so finalizing ctl is sound.
 func (q *Queue[T]) helpEnqTicket(tid, owner int, rec *helpRec[T], sl *slot[T], ctl uint64) {
-	st := sl.state.Load()
-	if st == slotEmpty {
-		sl.state.CompareAndSwap(slotEmpty, slotReserved)
-		st = sl.state.Load()
-	}
-	if st == slotUnsafe {
+	rw := reservedWord(owner, ctlSeq(ctl))
+	if !sl.word.CompareAndSwap(slotEmpty, rw) && sl.word.Load() == slotUnsafe {
 		return // burned before any reserve; the owner re-claims
 	}
 	yield.At(yield.RGHelpFinalize, tid, owner)
@@ -523,7 +548,7 @@ func (q *Queue[T]) helpEnqTicket(tid, owner int, rec *helpRec[T], sl *slot[T], c
 		q.helpFinalizes.Add(1)
 	}
 	yield.At(yield.RGHelpPromote, tid, owner)
-	sl.state.CompareAndSwap(slotReserved, slotCommitted)
+	sl.word.CompareAndSwap(rw, slotCommitted)
 }
 
 // helpDeqTicket finalizes a committed value for the pending slow dequeue
@@ -531,15 +556,15 @@ func (q *Queue[T]) helpEnqTicket(tid, owner int, rec *helpRec[T], sl *slot[T], c
 // seen committed is never burned, so the owner never moves the ticket
 // off it: the CAS from ctl can only deliver this slot to this request.
 func (q *Queue[T]) helpDeqTicket(tid, owner int, rec *helpRec[T], sl *slot[T], ctl uint64) {
-	if sl.state.Load() == slotReserved {
-		q.resolveReserved(tid, sl)
+	if w := sl.word.Load(); w&slotMask == slotReserved {
+		q.resolveReserved(tid, sl, w)
 	}
-	if sl.state.Load() != slotCommitted {
+	if sl.word.Load() != slotCommitted {
 		return // empty/unsafe: only the owner can burn or prove empty
 	}
 	yield.At(yield.RGHelpFinalize, tid, owner)
 	if rec.ctl.CompareAndSwap(ctl, ctlWord(ctlSeq(ctl), hsDoneDeqVal)) {
 		q.helpFinalizes.Add(1)
-		sl.state.Store(slotConsumed)
+		sl.word.Store(slotConsumed)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"wfq/internal/model"
 	"wfq/internal/xrand"
+	"wfq/internal/yield"
 )
 
 // TestSlowPathSequentialFIFO forces every operation through the helping
@@ -268,5 +269,119 @@ func TestHelpingOptions(t *testing.T) {
 	}
 	if st := q.Stats(); st.SlowEnqs != 0 || st.SlowDeqs != 0 || st.HelpFinalizes != 0 {
 		t.Fatalf("lock-free config engaged helping: %+v", st)
+	}
+}
+
+// TestReservedWordRoundTrip checks the reserved slot word at the edges
+// of its fields: every (tid, seq) decodes to itself and reads reserved
+// in the state bits. Then it drives one record's seq across its wrap on
+// the slow path. At each reserve the slot word must name the request
+// that the record's ctl word holds pending, 2^45-1 and then 0, so a
+// claimant's compare of the two is exact across the wrap.
+func TestReservedWordRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		tid int
+		seq uint64
+	}{
+		{0, 0}, {1, 1}, {maxThreads - 1, 0}, {0, seqMask}, {maxThreads - 1, seqMask}, {0x5a5a, 1 << 44},
+	} {
+		w := reservedWord(tc.tid, tc.seq)
+		if w&slotMask != slotReserved {
+			t.Fatalf("reservedWord(%#x, %#x) = %#x: state bits %d, want reserved", tc.tid, tc.seq, w, w&slotMask)
+		}
+		if tid, seq := reservedBy(w); tid != tc.tid || seq != tc.seq {
+			t.Fatalf("reservedBy(reservedWord(%#x, %#x)) = (%#x, %#x)", tc.tid, tc.seq, tid, seq)
+		}
+	}
+	if seqMask != 1<<45-1 {
+		t.Fatalf("seq wraps at %#x, want 2^45", seqMask+1)
+	}
+
+	const owner = 1
+	q := New[int64](2, 4, WithPatience(0))
+	rec := &q.recs[owner]
+	rec.seq = seqMask - 1
+	var seen []uint64
+	prev := yield.Set(func(p yield.Point, caller, _ int) {
+		if p != yield.RGHelpFinalize || caller != owner {
+			return
+		}
+		// The owner's reserve CAS has just run on its ticket's slot.
+		sl := &rec.tSeg.Load().slots[ticketIdx(rec.tPub.Load())]
+		w := sl.word.Load()
+		tid, seq := reservedBy(w)
+		if w&slotMask != slotReserved || tid != owner || rec.ctl.Load() != ctlWord(seq, hsEnqPending) {
+			t.Errorf("slot word %#x (tid %d, seq %#x) does not name the pending ctl %#x", w, tid, seq, rec.ctl.Load())
+		}
+		seen = append(seen, seq)
+	})
+	q.Enqueue(owner, 5)
+	q.Enqueue(owner, 6)
+	yield.Set(prev)
+	if len(seen) != 2 || seen[0] != seqMask || seen[1] != 0 {
+		t.Fatalf("reserved seqs %#x, want [%#x 0]", seen, seqMask)
+	}
+	for _, want := range []int64{5, 6} {
+		if v, ok := q.Dequeue(0); !ok || v != want {
+			t.Fatalf("drain = (%d,%v), want (%d,true)", v, ok, want)
+		}
+	}
+
+	// The ticket counter wraps at 43 bits without touching the kind bit.
+	for _, deq := range []bool{false, true} {
+		w := packTicket(deq, 1<<43|9, 3)
+		if ticketIsDeq(w) != deq || ticketIdx(w) != 3 || w != packTicket(deq, 9, 3) {
+			t.Fatalf("packTicket(%v, 2^43+9, 3) = %#x", deq, w)
+		}
+	}
+}
+
+// TestResolveReservedActsOnTheWordSeen calls resolveReserved the way a
+// claimant that branched on a reserved word and then stalled would: by
+// the time it runs, the reservation was promoted and consumed and its
+// request closed. It must decide from the word it was given, not from
+// the slot's current word: the stale request is not pending, so nothing
+// is finalized, and the promote CAS from the stale word fails, leaving
+// the consumed slot consumed. A second stale call while the owner's
+// next request is pending must leave that request alone too.
+func TestResolveReservedActsOnTheWordSeen(t *testing.T) {
+	const owner, claimant = 0, 1
+	q := New[int64](2, 4, WithPatience(0))
+	rec := &q.recs[owner]
+	q.Enqueue(owner, 42)
+	stale := reservedWord(owner, rec.seq)
+	sl := &q.head.Load().slots[0]
+	if v, ok := q.Dequeue(claimant); !ok || v != 42 {
+		t.Fatalf("dequeue = (%d,%v), want (42,true)", v, ok)
+	}
+	ctl := rec.ctl.Load()
+	q.resolveReserved(claimant, sl, stale)
+	if w := sl.word.Load(); w != slotConsumed {
+		t.Fatalf("stale resolve moved a consumed slot to %#x", w)
+	}
+	if got := rec.ctl.Load(); got != ctl {
+		t.Fatalf("stale resolve changed the record's ctl %#x -> %#x", ctl, got)
+	}
+
+	// The owner's next request is pending at its ticket; a resolve from
+	// the previous request's word must not finalize it.
+	pending := rec.seq + 1
+	var stuck bool
+	prev := yield.Set(func(p yield.Point, caller, _ int) {
+		if p == yield.RGHelpTicket && caller == owner && !stuck {
+			stuck = true
+			q.resolveReserved(claimant, sl, stale)
+			if got := rec.ctl.Load(); got != ctlWord(pending, hsEnqPending) {
+				t.Errorf("stale resolve decided the next request: ctl %#x", got)
+			}
+		}
+	})
+	q.Enqueue(owner, 43)
+	yield.Set(prev)
+	if st := q.Stats(); st.HelpFinalizes != 0 {
+		t.Fatalf("stale resolves finalized a request: %+v", st)
+	}
+	if v, ok := q.Dequeue(claimant); !ok || v != 43 {
+		t.Fatalf("dequeue = (%d,%v), want (43,true)", v, ok)
 	}
 }

@@ -653,8 +653,8 @@ func TestStaleTicketHelperAfterRecycle(t *testing.T) {
 
 		close(helperScan.release)
 		got = append(got, within(t, helperGot, "helper"))
-		if reused && s0.slots[2].state.Load() != slotEmpty {
-			t.Fatalf("stale helper changed a recycled slot: state %d", s0.slots[2].state.Load())
+		if reused && s0.slots[2].word.Load() != slotEmpty {
+			t.Fatalf("stale helper changed a recycled slot: word %#x", s0.slots[2].word.Load())
 		}
 		q.Enqueue(owner, 10)
 		finish(t, q, owner, got, []int64{1, 2, 100, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -734,8 +734,8 @@ func TestStaleTicketHelperAfterRecycle(t *testing.T) {
 
 		close(helperScan.release)
 		got = append(got, within(t, helperGot, "helper"))
-		if reused && s0.slots[2].state.Load() != slotEmpty {
-			t.Fatalf("stale helper changed a recycled slot: state %d", s0.slots[2].state.Load())
+		if reused && s0.slots[2].word.Load() != slotEmpty {
+			t.Fatalf("stale helper changed a recycled slot: word %#x", s0.slots[2].word.Load())
 		}
 		close(ownerReclaim.release)
 		within(t, ownerDone, "owner")
@@ -814,8 +814,8 @@ func TestStaleTicketHelperAfterRecycle(t *testing.T) {
 
 		close(helperScan.release)
 		hv := within(t, helperGot, "helper")
-		if reused && s0.slots[3].state.Load() != slotCommitted {
-			t.Fatalf("stale helper took a recycled slot's value: state %d", s0.slots[3].state.Load())
+		if reused && s0.slots[3].word.Load() != slotCommitted {
+			t.Fatalf("stale helper took a recycled slot's value: word %#x", s0.slots[3].word.Load())
 		}
 		close(ownerReclaim.release)
 		got = append(got, within(t, ownerGot, "owner"), hv)
@@ -976,8 +976,8 @@ func TestHelperPinDuringRetireScan(t *testing.T) {
 			} else {
 				got = append(got, dv)
 			}
-			if reused && s0.slots[2].state.Load() != slotEmpty {
-				t.Fatalf("helper changed a recycled slot: state %d", s0.slots[2].state.Load())
+			if reused && s0.slots[2].word.Load() != slotEmpty {
+				t.Fatalf("helper changed a recycled slot: word %#x", s0.slots[2].word.Load())
 			}
 			q.Enqueue(driver, 9)
 			for {
@@ -997,5 +997,123 @@ func TestHelperPinDuringRetireScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPromoteCommitsEveryReservation covers the three promotes of a
+// slow enqueue's reserved slot, each from the exact reserved word its
+// caller saw or built. The owner, a helper acting on the ticket, or the
+// slot's dequeue claimant may reserve; the request is decided by the
+// finalize CAS; whichever of the three promotes runs must then turn the
+// reservation into a committed value, whoever made it.
+//
+//   - owner-promotes-helper-reserve: a helper reserves the frozen
+//     owner's slot and parks before its finalize. The owner resumes,
+//     finalizes and returns, and its slot must already be committed:
+//     the owner's promote acts on the helper's reservation, so the
+//     helper must have reserved with the owner's own word.
+//   - helper-promotes: the owner stays frozen at its ticket while an
+//     enqueuer's entry help reserves, finalizes and promotes the slot;
+//     when that enqueue returns both values are committed.
+//   - claimant-promotes: the owner freezes after its own reserve, and a
+//     slow dequeue that claims the slot finishes the owner's enqueue
+//     and takes its value. Its promote is the only one that can run.
+func TestPromoteCommitsEveryReservation(t *testing.T) {
+	t.Run("owner-promotes-helper-reserve", func(t *testing.T) {
+		const owner, helper = 0, 1
+		q := New[int64](2, 4, WithPatience(0))
+		sl := &q.tail.Load().slots[0]
+		pk := newParker(t)
+		ownerTicket := pk.at(yield.RGHelpTicket, owner, 1)
+		helperFinalize := pk.at(yield.RGHelpFinalize, helper, 1)
+		ownerDone := make(chan struct{})
+		go func() {
+			q.Enqueue(owner, 42) // ticket names slot 0
+			close(ownerDone)
+		}()
+		ownerTicket.wait(t, "owner at its ticket")
+		helperDone := make(chan struct{})
+		go func() {
+			q.Enqueue(helper, 7) // entry help reserves slot 0, then parks
+			close(helperDone)
+		}()
+		helperFinalize.wait(t, "helper after its reserve")
+		if w := sl.word.Load(); w != reservedWord(owner, q.recs[owner].seq) {
+			t.Fatalf("helper reserved with %#x, want the owner's word %#x", w, reservedWord(owner, q.recs[owner].seq))
+		}
+		close(ownerTicket.release)
+		within(t, ownerDone, "owner")
+		if w := sl.word.Load(); w != slotCommitted {
+			t.Fatalf("owner returned with its slot at %#x, want committed", w)
+		}
+		close(helperFinalize.release)
+		within(t, helperDone, "helper")
+		drainExactly(t, q, 0, 42, 7)
+	})
+
+	t.Run("helper-promotes", func(t *testing.T) {
+		const owner, helper = 0, 1
+		q := New[int64](2, 4, WithPatience(0))
+		sl := &q.tail.Load().slots[0]
+		pk := newParker(t)
+		ownerTicket := pk.at(yield.RGHelpTicket, owner, 1)
+		ownerDone := make(chan struct{})
+		go func() {
+			q.Enqueue(owner, 42)
+			close(ownerDone)
+		}()
+		ownerTicket.wait(t, "owner at its ticket")
+		q.Enqueue(helper, 7) // entry help decides and promotes the owner's enqueue
+		if w := sl.word.Load(); w != slotCommitted || q.Len() != 2 {
+			t.Fatalf("after the helped enqueue: owner's slot %#x, Len %d; want committed, 2", w, q.Len())
+		}
+		close(ownerTicket.release)
+		within(t, ownerDone, "owner")
+		drainExactly(t, q, 0, 42, 7)
+	})
+
+	t.Run("claimant-promotes", func(t *testing.T) {
+		const owner, claimant = 0, 1
+		q := New[int64](2, 4, WithPatience(0))
+		pk := newParker(t)
+		claimantRetry := pk.at(yield.RGRetry, claimant, 1)
+		ownerFinalize := pk.at(yield.RGHelpFinalize, owner, 1)
+		// The claimant opens its request first and parks before its
+		// claim, so it has no ticket for the owner's entry help to find.
+		got := make(chan int64, 1)
+		go func() {
+			v, ok := q.Dequeue(claimant)
+			if !ok {
+				t.Error("claimant came back empty")
+			}
+			got <- v
+		}()
+		claimantRetry.wait(t, "claimant before its claim")
+		ownerDone := make(chan struct{})
+		go func() {
+			q.Enqueue(owner, 42) // reserves slot 0, parks before its finalize
+			close(ownerDone)
+		}()
+		ownerFinalize.wait(t, "owner after its reserve")
+		close(claimantRetry.release)
+		if v := within(t, got, "claimant"); v != 42 {
+			t.Fatalf("claimant took %d, want 42", v)
+		}
+		close(ownerFinalize.release)
+		within(t, ownerDone, "owner")
+		drainExactly(t, q, 0)
+	})
+}
+
+// drainExactly dequeues until empty and checks the values against want.
+func drainExactly(t *testing.T, q *Queue[int64], tid int, want ...int64) {
+	t.Helper()
+	for _, w := range want {
+		if v, ok := q.Dequeue(tid); !ok || v != w {
+			t.Fatalf("drain = (%d,%v), want (%d,true)", v, ok, w)
+		}
+	}
+	if v, ok := q.Dequeue(tid); ok {
+		t.Fatalf("drain found %d after %v", v, want)
 	}
 }

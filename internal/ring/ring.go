@@ -105,33 +105,39 @@ const DefaultSegSize = 1024
 // for the adjacent-cacheline prefetcher.
 const sepBytes = 128
 
-// Slot states; monotone per segment life (see the package comment).
-// With helping enabled the commit edge may pass through an intermediate
-// reserved state (empty → reserved → committed): a slow enqueuer (or a
-// helper acting on its ticket) reserves the slot, the request is
-// finalized on the owning record, and the slot is then promoted to
-// committed. Reserved is NOT terminal and never burned — a dequeuer
-// claimant that finds it resolves the owning request instead (see
-// resolveReserved in helping.go).
+// Slot states: the low stateBits bits of a slot word, monotone per
+// segment life (see the package comment). With helping enabled the
+// commit edge may pass through an intermediate reserved state
+// (empty → reserved → committed): a slow enqueuer (or a helper acting on
+// its ticket) reserves the slot, the request is finalized on the owning
+// record, and the slot is then promoted to committed. Reserved is NOT
+// terminal and never burned — a dequeuer claimant that finds it resolves
+// the owning request instead (see resolveReserved in helping.go). Only
+// the reserved word carries more than its state: reservedWord packs the
+// reserving request's identity above the state bits.
 const (
-	slotEmpty uint32 = iota
+	slotEmpty uint64 = iota
 	slotCommitted
 	slotConsumed
 	slotUnsafe
 	slotReserved
+	stateBits        = 3
+	slotMask  uint64 = 1<<stateBits - 1
 )
 
 // slot is deliberately compact, like SCQ/LCRQ cells, NOT padded:
 // neighbouring slots share a cache line by design — that sharing is the
 // sequential-access win the backend exists for, and the slots an
 // enqueuer and dequeuer touch concurrently are segSize apart in the
-// common case. resv is the helping identity word (which record/request
-// reserved this slot); it is written only on the slow path, before the
-// slot's ticket is published.
+// common case. word is the slot's one control word: its low stateBits
+// bits are the state, and a reserved word also names the record and
+// request that reserved it (reservedWord in helping.go), so the reserve
+// CAS publishes the state and the identity together and a claimant
+// decodes the identity from the very word it branched on. 16 bytes for
+// a word-sized T.
 type slot[T any] struct {
-	state atomic.Uint32
-	resv  atomic.Uint64
-	val   T
+	word atomic.Uint64
+	val  T
 }
 
 // segment is one contiguous ring of slots. enqIdx/deqIdx are the claim
@@ -159,8 +165,7 @@ type segment[T any] struct {
 func (s *segment[T]) reset() {
 	var zero T
 	for i := range s.slots {
-		s.slots[i].state.Store(slotEmpty)
-		s.slots[i].resv.Store(0)
+		s.slots[i].word.Store(slotEmpty)
 		s.slots[i].val = zero
 	}
 	s.enqIdx.Store(0)
@@ -464,7 +469,7 @@ func (q *Queue[T]) Enqueue(tid int, v T) {
 		sl := &s.slots[t]
 		sl.val = v
 		yield.At(yield.RGEnqClaim, tid, tid)
-		if sl.state.CompareAndSwap(slotEmpty, slotCommitted) {
+		if sl.word.CompareAndSwap(slotEmpty, slotCommitted) {
 			return
 		}
 		// Burned: the dequeuer that claimed t linearized an empty (or
@@ -529,15 +534,16 @@ func (q *Queue[T]) Dequeue(tid int) (v T, ok bool) {
 		// window makes the re-read take the other arm).
 	claim:
 		for {
-			switch sl.state.Load() {
+			w := sl.word.Load()
+			switch w & slotMask {
 			case slotCommitted:
 				v = sl.val
-				sl.state.Store(slotConsumed)
+				sl.word.Store(slotConsumed)
 				return v, true
 			case slotReserved:
-				q.resolveReserved(tid, sl)
+				q.resolveReserved(tid, sl, w)
 			case slotEmpty:
-				if !sl.state.CompareAndSwap(slotEmpty, slotUnsafe) {
+				if !sl.word.CompareAndSwap(slotEmpty, slotUnsafe) {
 					continue
 				}
 				q.deqBurns.Add(1)
@@ -612,7 +618,7 @@ func (q *Queue[T]) EnqueueBatch(tid int, vs []T) {
 			if hooked {
 				yield.At(yield.RGEnqClaim, tid, tid)
 			}
-			if sl.state.CompareAndSwap(slotEmpty, slotCommitted) {
+			if sl.word.CompareAndSwap(slotEmpty, slotCommitted) {
 				i++
 				fails = 0
 				continue
@@ -666,17 +672,18 @@ func (q *Queue[T]) DequeueBatch(tid int, dst []T) int {
 			// belongs to), burn empty.
 		claim:
 			for {
-				switch sl.state.Load() {
+				w := sl.word.Load()
+				switch w & slotMask {
 				case slotCommitted:
 					v := sl.val
-					sl.state.Store(slotConsumed)
+					sl.word.Store(slotConsumed)
 					dst[n] = v
 					n++
 					break claim
 				case slotReserved:
-					q.resolveReserved(tid, sl)
+					q.resolveReserved(tid, sl, w)
 				case slotEmpty:
-					if sl.state.CompareAndSwap(slotEmpty, slotUnsafe) {
+					if sl.word.CompareAndSwap(slotEmpty, slotUnsafe) {
 						q.deqBurns.Add(1)
 						break claim
 					}
@@ -700,7 +707,7 @@ func (q *Queue[T]) Len() int {
 		e := min(s.enqIdx.Load(), q.segSize)
 		d := min(s.deqIdx.Load(), e)
 		for i := d; i < e; i++ {
-			if s.slots[i].state.Load() == slotCommitted {
+			if s.slots[i].word.Load() == slotCommitted {
 				n++
 			}
 		}

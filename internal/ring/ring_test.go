@@ -4,6 +4,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"wfq/internal/model"
 	"wfq/internal/xrand"
@@ -202,10 +203,11 @@ func TestBacklogRefillReusesSegments(t *testing.T) {
 
 // TestZeroAllocSteadyState is the hot-path allocation regression gate:
 // steady-state enqueue/dequeue pairs — including segment boundary
-// crossings, which recycle via the free list — must not allocate.
+// crossings, which take their segment from the queue's pool — must not
+// allocate.
 func TestZeroAllocSteadyState(t *testing.T) {
 	q := New[int64](1, 64)
-	// Warm the free list past the first boundary crossings.
+	// Warm the pool past the first boundary crossings.
 	for i := int64(0); i < 64*8; i++ {
 		q.Enqueue(0, i)
 		q.Dequeue(0)
@@ -330,16 +332,27 @@ func TestTidBounds(t *testing.T) {
 	}
 }
 
-// TestStatsFootprint sanity-checks the memory accounting surface.
+// TestSlotLayout pins the slot at one control word plus the value: the
+// state and the reservation identity share the word, so a word-sized
+// element costs 16 bytes per slot.
+func TestSlotLayout(t *testing.T) {
+	if n := unsafe.Sizeof(slot[uint64]{}); n != 16 {
+		t.Fatalf("slot[uint64] is %d bytes, want 16", n)
+	}
+}
+
+// TestStatsFootprint checks the memory accounting surface.
 func TestStatsFootprint(t *testing.T) {
 	q := New[int64](1, 128)
 	st := q.Stats()
 	if st.SegSize != 128 || st.LiveSegments != 1 || st.Allocated != 1 {
 		t.Fatalf("fresh stats: %+v", st)
 	}
-	// 128 slots of (state + int64) plus the header: at least 12B/slot.
-	if st.SegmentBytes < 128*12 {
-		t.Fatalf("implausible segment footprint: %+v", st)
+	// The header's three padded blocks (enqIdx, deqIdx, next+life) and
+	// the slots' slice header, then 128 slots of one word plus an int64.
+	want := int64(3*sepBytes+unsafe.Sizeof([]slot[int64](nil))) + 128*16
+	if st.SegmentBytes != want {
+		t.Fatalf("segment footprint %d bytes, want %d: %+v", st.SegmentBytes, want, st)
 	}
 	if d := New[int64](1, 0); d.SegSize() != DefaultSegSize {
 		t.Fatalf("default segSize = %d", d.SegSize())

@@ -204,9 +204,10 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // ring-segment storage backend (internal/ring): elements live in
 // contiguous slot segments claimed by one fetch-and-add per operation,
 // segments are chained only at the boundary, and retired segments
-// recycle through a bounded free list — zero steady-state allocations
-// and cache-sequential access. segSize <= 0 selects the default (1024
-// slots). Ordering stays a single FIFO; progress is wait-free: after a
+// recycle through a per-queue pool, so a drained backlog is reused by
+// the next refill — zero steady-state allocations and cache-sequential
+// access. A slot is one control word plus the element (16 bytes for a
+// word-sized T). segSize <= 0 selects the default (1024 slots). Ordering stays a single FIFO; progress is wait-free: after a
 // bounded number of fast-path attempts an operation publishes a helping
 // record and peers finish it from its ticket — see ALGORITHM.md,
 // "Wait-free ring helping". Composes with WithShards and WithFastPath;
