@@ -62,10 +62,12 @@ func TestNoDeadlinePathAllocParity(t *testing.T) {
 	t.Logf("allocs/op: facade %.3f, qsvc %.3f", baseAllocs, svcAllocs)
 }
 
-// TestArmedPathAllocBounded documents the armed path's cost: one Req
-// and one done channel per request (plus amortized heap growth) — the
-// price of a completion handle, paid only by requests that ask for a
-// deadline.
+// TestArmedPathAllocBounded documents Session.Enqueue's armed cost: a
+// fresh Req and its done channel per request (plus amortized heap
+// growth) — the price of a completion handle the caller keeps, paid
+// only by requests that ask for a deadline. Session.EnqueueWait re-arms
+// the session's own record instead and pays neither once its request
+// completes (TestWireArmedDeliveryAllocs in internal/qsvc/server).
 func TestArmedPathAllocBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
@@ -86,7 +88,7 @@ func TestArmedPathAllocBounded(t *testing.T) {
 		}
 	})
 	if allocs > 4 {
-		t.Fatalf("armed path allocates %.1f/op, want <= 4 (Req + channel + amortized bookkeeping)", allocs)
+		t.Fatalf("armed path allocates %.1f/op, want <= 4 (fresh Req + channel + amortized bookkeeping)", allocs)
 	}
 	t.Logf("armed allocs/op: %.1f", allocs)
 }

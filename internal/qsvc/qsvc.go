@@ -23,8 +23,10 @@
 // moves through the underlying queue as a by-value envelope — no
 // completion handle, no timer, no allocation beyond what the backend
 // itself does (asserted by TestNoDeadlinePathAllocParity). Only
-// deadline-armed requests pay for a completion record and a slot in the
-// deadline heap.
+// deadline-armed requests use a completion record and a slot in the
+// deadline heap; Session.EnqueueWait re-arms its session's record, stamped
+// with an incarnation sequence number, instead of allocating one per
+// request.
 //
 // The TCP front end lives in internal/qsvc/server (protocol in
 // internal/qsvc/wire, client in internal/qsvc/client); the load

@@ -2,6 +2,7 @@ package qsvc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -12,11 +13,13 @@ import (
 // env is the request envelope flowing through the underlying facade
 // queue — BY VALUE, so the no-deadline path adds no allocation to
 // whatever the backend does. r is nil for plain requests; only
-// deadline-armed requests carry a completion record.
+// deadline-armed requests carry a completion record, and seq names the
+// incarnation of r this envelope was armed with.
 type env[T any] struct {
 	v   T
 	enq int64 // unix nanoseconds at admission (queue-delay observability)
 	r   *Req
+	seq uint64
 }
 
 // Queue is one named, generation-keyed queue in a Registry: a facade
@@ -127,6 +130,10 @@ func (q *Queue[T]) Stats() Stats {
 type Session[T any] struct {
 	q *Queue[T]
 	h *wfq.Handle[env[T]]
+	// rec is the completion record EnqueueWait re-arms, made on first
+	// use; nil again after a wait that ended without observing
+	// completion.
+	rec *Req
 }
 
 // Session leases an identity; it fails with tid.ErrExhausted when
@@ -188,49 +195,96 @@ func (q *Queue[T]) admitInflight() error {
 
 // Enqueue admits and publishes one request. deadline <= 0 is the plain
 // path: no completion record, no timer state, allocation parity with
-// the bare facade; the returned Req is nil. deadline > 0 arms the
-// request: it is pushed into the timeout sweep's heap BEFORE the
-// element becomes visible (so no visible armed request can be missed by
-// a sweep), and the returned Req completes when the request is
-// delivered, expires, or is aborted.
+// the bare facade; the returned Req is nil. deadline > 0 arms a fresh
+// record: it is pushed into the timeout sweep's heap BEFORE the element
+// becomes visible (so no visible armed request can be missed by a
+// sweep), and the returned Req completes when the request is delivered,
+// expires, or is aborted.
 //
 // Errors: wfq.ErrAdmission (cap exceeded, nothing published),
 // wfq.ErrClosed (queue closed/deleted, nothing published),
 // tid-exhaustion from the session layer.
 func (s *Session[T]) Enqueue(v T, deadline time.Duration) (*Req, error) {
+	if deadline <= 0 {
+		return nil, s.publish(nil, v, 0)
+	}
+	r := newReq(s.q.name)
+	if err := s.publish(r, v, deadline); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// EnqueueWait publishes one deadline-armed request and waits until it
+// completes: nil when a consumer took delivery, a
+// wfq.ErrDeadlineExceeded-wrapped error when the sweep expired it,
+// wfq.ErrClosed when the queue was deleted. It re-arms the session's own
+// completion record, so a request that completes allocates no record.
+// If ctx ends first, EnqueueWait returns ctx.Err() and the request stays
+// armed for the consumers and the sweep to resolve; the session then
+// arms a fresh record next time, because the abandoned one may still be
+// completed. Enqueue's errors are returned as they are.
+func (s *Session[T]) EnqueueWait(ctx context.Context, v T, deadline time.Duration) error {
+	if deadline <= 0 {
+		return fmt.Errorf("enqueue-and-wait on %q requires a positive deadline", s.q.name)
+	}
+	r := s.rec
+	if r == nil {
+		r = newReq(s.q.name)
+		s.rec = r
+	}
+	if err := s.publish(r, v, deadline); err != nil {
+		if !errors.Is(err, wfq.ErrAdmission) {
+			// Admission refuses before arming, but a failed enqueue
+			// armed r, and a racing sweep or abort that claimed it may
+			// still be about to send its token.
+			s.rec = nil
+		}
+		return err
+	}
+	select {
+	case <-r.done:
+		return r.Err()
+	case <-ctx.Done():
+		s.rec = nil
+		return ctx.Err()
+	}
+}
+
+// publish admits v and enqueues it, armed on r until deadline when r is
+// non-nil. The heap push precedes the enqueue; if the enqueue fails,
+// the producer aborts the incarnation itself unless a racing sweep or
+// abort already claimed it (whose accounting then stands, and whose heap
+// entry is already gone).
+func (s *Session[T]) publish(r *Req, v T, deadline time.Duration) error {
 	q := s.q
 	if err := q.admitDepth(); err != nil {
-		return nil, err
+		return err
 	}
-	now := time.Now().UnixNano()
-	if deadline <= 0 {
-		if err := s.h.TryEnqueue(env[T]{v: v, enq: now}); err != nil {
+	e := env[T]{v: v, enq: time.Now().UnixNano()}
+	if r != nil {
+		if err := q.admitInflight(); err != nil {
 			q.depth.Add(-1)
-			return nil, err
+			return err
 		}
-		q.admitted.Add(1)
-		return nil, nil
+		dl := e.enq + int64(deadline)
+		e.r, e.seq = r, r.arm(dl)
+		q.dl.push(dlEntry{deadline: dl, seq: e.seq, r: r})
 	}
-	if err := q.admitInflight(); err != nil {
-		q.depth.Add(-1)
-		return nil, err
-	}
-	r := &Req{deadline: now + int64(deadline), done: make(chan struct{})}
-	q.dl.push(r)
-	if err := s.h.TryEnqueue(env[T]{v: v, enq: now, r: r}); err != nil {
-		// The element never became visible. Complete the record
-		// ourselves unless a racing sweep already expired it (in which
-		// case the sweep's accounting — expired++, depth--, inflight--
-		// — stands, and the heap entry is already gone).
-		if r.complete(stExpired, fmt.Errorf("enqueue on %q: %w", q.name, err)) {
+	if err := s.h.TryEnqueue(e); err != nil {
+		if r == nil {
+			q.depth.Add(-1)
+		} else if r.claim(e.seq, stAborted) {
+			// Nobody waits on a record whose enqueue failed: the error
+			// is returned instead, so no token is sent.
 			q.aborted.Add(1)
 			q.inflight.Add(-1)
 			q.depth.Add(-1)
 		}
-		return nil, err
+		return err
 	}
 	q.admitted.Add(1)
-	return r, nil
+	return nil
 }
 
 // accept resolves one dequeued envelope: delivers plain envelopes
@@ -245,11 +299,12 @@ func (q *Queue[T]) accept(e env[T]) (T, bool) {
 		q.delays.Observe(now - e.enq)
 		return e.v, true
 	}
-	if e.r.complete(stDelivered, nil) {
+	if e.r.claim(e.seq, stDelivered) {
 		q.depth.Add(-1)
 		q.inflight.Add(-1)
 		q.delivered.Add(1)
 		q.delays.Observe(now - e.enq)
+		e.r.finish()
 		return e.v, true
 	}
 	// The sweep (or Delete) won the request: the element is a
@@ -309,15 +364,15 @@ func (q *Queue[T]) sweep(now int64, tally *atomic.Int64) (expired int) {
 	defer q.dl.mu.Unlock()
 	for len(q.dl.h) > 0 {
 		top := q.dl.h[0]
-		if top.state.Load() != stPending {
+		if !top.pending() {
 			q.dl.popLocked()
 			continue
 		}
 		if top.deadline > now {
 			return expired
 		}
-		r := q.dl.popLocked()
-		if r.claim(stExpired) {
+		q.dl.popLocked()
+		if top.r.claim(top.seq, stExpired) {
 			q.expired.Add(1)
 			q.inflight.Add(-1)
 			q.depth.Add(-1)
@@ -325,7 +380,7 @@ func (q *Queue[T]) sweep(now int64, tally *atomic.Int64) (expired int) {
 				tally.Add(1)
 			}
 			expired++
-			r.finish(fmt.Errorf("request on %q: %w", q.name, wfq.ErrDeadlineExceeded))
+			top.r.finish()
 		}
 	}
 	return expired
@@ -354,11 +409,12 @@ func (q *Queue[T]) close(abort bool) error {
 	pend := q.dl.h
 	q.dl.h = nil
 	q.dl.mu.Unlock()
-	for _, r := range pend {
-		if r.complete(stExpired, fmt.Errorf("request on %q: %w", q.name, wfq.ErrClosed)) {
+	for _, e := range pend {
+		if e.r.claim(e.seq, stAborted) {
 			q.aborted.Add(1)
 			q.inflight.Add(-1)
 			q.depth.Add(-1)
+			e.r.finish()
 		}
 	}
 	return err

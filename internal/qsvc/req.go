@@ -1,99 +1,143 @@
 package qsvc
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"wfq"
 )
 
-// Request completion states. A request moves from stPending to exactly
-// one of the terminal states by a single CompareAndSwap — that CAS is
-// the conservation argument of the whole layer: the timeout sweep
-// (stPending→stExpired) and a dequeuing consumer (stPending→stDelivered)
-// race idempotently on the same word, one of them wins, and the loser's
-// path delivers nothing. See ALGORITHM.md, "The queue-service layer".
+// Request completion states: the low stBits of a record's state word.
+// The bits above them hold the record's incarnation sequence number,
+// bumped each time the record is armed, so the word names one
+// incarnation's state. A request moves from stPending to exactly one of
+// the terminal states by a single CompareAndSwap from the exact
+// (seq, stPending) word — that CAS is the conservation argument of the
+// whole layer: the timeout sweep (stPending→stExpired), a dequeuing
+// consumer (stPending→stDelivered) and an abort (stPending→stAborted)
+// race on the same word, one of them wins, and the losers' paths
+// deliver nothing. A party holding a stale incarnation's seq (a
+// tombstone, a heap entry) fails its CAS against a re-armed record. See
+// ALGORITHM.md, "The queue-service layer".
 const (
-	stPending int32 = iota
+	stPending uint64 = iota
 	// stDelivered: a consumer's claim CAS won; the value was returned
 	// from a dequeue exactly once.
 	stDelivered
-	// stExpired: the timeout sweep's CAS won (or Delete aborted the
-	// request); the value still physically occupies the underlying
-	// queue as a tombstone until some dequeue pops and discards it.
+	// stExpired: the timeout sweep's CAS won; the value still
+	// physically occupies the underlying queue as a tombstone until
+	// some dequeue pops and discards it.
 	stExpired
+	// stAborted: Delete aborted the request, or its enqueue failed.
+	stAborted
+
+	stBits = 2
+	stMask = 1<<stBits - 1
 )
 
-// Req is the completion handle of a deadline-armed enqueue. The
-// producer that armed the deadline watches Done(); the channel closes
-// when the request reaches a terminal state, after which Err reports
-// nil (delivered), a wfq.ErrDeadlineExceeded-wrapped error (swept), or
+// Req is the completion record of a deadline-armed enqueue. The
+// producer that armed the deadline receives one value from Done when the
+// request reaches a terminal state, after which Err reports nil
+// (delivered), a wfq.ErrDeadlineExceeded-wrapped error (swept), or
 // wfq.ErrClosed (queue deleted, or the enqueue itself failed).
 //
-// Requests without deadlines never materialize a Req — the no-deadline
-// path stays allocation-parity with the bare facade.
+// Session.Enqueue returns a fresh record per request; Session.EnqueueWait
+// re-arms the session's own record, which is why Done carries a token
+// rather than closing. Requests without deadlines never materialize a
+// Req — the no-deadline path stays allocation-parity with the bare
+// facade.
 type Req struct {
-	deadline int64 // unix nanoseconds
-	state    atomic.Int32
-	err      error // written before done closes; read only after Done
-	done     chan struct{}
+	name     string // queue name, for Err's message
+	deadline int64  // unix nanoseconds; the current incarnation's
+	state    atomic.Uint64
+	done     chan struct{} // capacity 1: the terminal transition's token
 }
 
-// Done is closed when the request reaches a terminal state.
+// newReq builds an unarmed record for queue name.
+func newReq(name string) *Req {
+	return &Req{name: name, done: make(chan struct{}, 1)}
+}
+
+// Done delivers one value when the request reaches a terminal state;
+// receive it once.
 func (r *Req) Done() <-chan struct{} { return r.done }
 
-// Err reports the terminal error: nil while pending or when delivered,
-// the deadline/closed error otherwise. Only meaningful — in the sense
-// of being stable — once Done is closed.
+// Err reports the terminal error, read from the state word: nil while
+// pending or when delivered, the deadline/closed error otherwise.
 func (r *Req) Err() error {
-	select {
-	case <-r.done:
-		return r.err
-	default:
-		return nil
+	switch r.state.Load() & stMask {
+	case stExpired:
+		return fmt.Errorf("request on %q: %w", r.name, wfq.ErrDeadlineExceeded)
+	case stAborted:
+		return fmt.Errorf("request on %q: %w", r.name, wfq.ErrClosed)
 	}
+	return nil
 }
 
 // Deadline reports the request's absolute deadline.
 func (r *Req) Deadline() time.Time { return time.Unix(0, r.deadline) }
 
-// complete tries to move the request from pending to the terminal state
-// `to`, recording err and closing Done on success. Exactly one caller
-// ever succeeds; the error write happens before the channel close, so
-// every Done-gated reader observes it.
-func (r *Req) complete(to int32, err error) bool {
-	if !r.claim(to) {
-		return false
-	}
-	r.finish(err)
-	return true
+// arm starts the record's next incarnation, pending until deadline, and
+// returns its seq. Only the record's owner arms it, and only once the
+// previous incarnation is terminal and its token received (or the
+// record is new), so no other party can hold the pending word of an
+// incarnation about to be replaced.
+func (r *Req) arm(deadline int64) uint64 {
+	seq := r.state.Load()>>stBits + 1
+	r.deadline = deadline
+	r.state.Store(seq << stBits)
+	return seq
 }
 
-// claim is complete's CAS alone: the winner owns the request and must
-// call finish. Splitting the two lets the winner publish its accounting
-// before the producer wakes.
-func (r *Req) claim(to int32) bool { return r.state.CompareAndSwap(stPending, to) }
+// claim moves incarnation seq from pending to the terminal state `to`.
+// Exactly one caller per incarnation succeeds; the winner owns the
+// request and calls finish once its accounting is published, so the
+// producer wakes to counts that include it.
+func (r *Req) claim(seq, to uint64) bool {
+	return r.state.CompareAndSwap(seq<<stBits|stPending, seq<<stBits|to)
+}
 
-// finish records err and closes Done; only claim's winner calls it.
-func (r *Req) finish(err error) {
-	r.err = err
-	close(r.done)
+// finish hands the producer its token. The channel is empty — one token
+// per incarnation, and the owner receives it before re-arming — so the
+// token always lands; the send is non-blocking all the same, because
+// the sweep calls finish holding the heap's mutex.
+func (r *Req) finish() {
+	select {
+	case r.done <- struct{}{}:
+	default:
+	}
 }
 
 // dlHeap is the per-queue deadline min-heap the timeout sweep pops.
 // Only deadline-ARMED enqueues touch it (one push under the mutex), so
-// the no-deadline hot path never takes this lock. Entries whose request
-// completed some other way (delivered, aborted) are removed lazily when
-// they reach the top — the sweep's unit of work stays O(expired +
-// completed-at-top), independent of queue depth.
+// the no-deadline hot path never takes this lock. Entries whose
+// incarnation completed some other way (delivered, aborted) are removed
+// lazily when they reach the top — the sweep's unit of work stays
+// O(expired + completed-at-top), independent of queue depth.
 type dlHeap struct {
 	mu sync.Mutex
-	h  []*Req
+	h  []dlEntry
 }
 
-// push inserts r keyed by its deadline.
-func (d *dlHeap) push(r *Req) {
+// dlEntry is one armed incarnation in the heap, held by value: its
+// deadline and seq are copied at arming, so re-arming the record cannot
+// disturb the heap order, and an entry whose seq no longer matches the
+// record's state word is stale and popped like a settled one.
+type dlEntry struct {
+	deadline int64
+	seq      uint64
+	r        *Req
+}
+
+// pending reports whether the entry's incarnation is still pending.
+func (e dlEntry) pending() bool { return e.r.state.Load() == e.seq<<stBits|stPending }
+
+// push inserts e keyed by its deadline.
+func (d *dlHeap) push(e dlEntry) {
 	d.mu.Lock()
-	d.h = append(d.h, r)
+	d.h = append(d.h, e)
 	// sift up
 	i := len(d.h) - 1
 	for i > 0 {
@@ -109,12 +153,12 @@ func (d *dlHeap) push(r *Req) {
 
 // popLocked removes and returns the minimum-deadline entry. Caller
 // holds mu and has checked len > 0.
-func (d *dlHeap) popLocked() *Req {
+func (d *dlHeap) popLocked() dlEntry {
 	h := d.h
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = nil
+	h[n] = dlEntry{}
 	d.h = h[:n]
 	// sift down
 	i := 0

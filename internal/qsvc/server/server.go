@@ -16,10 +16,21 @@
 // frame's header and body arrive in one read syscall, and keeps one read
 // buffer, one response buffer and one decoded wire.Request across its
 // requests. A response is encoded in place behind its length and sent
-// with one Write. A plain request therefore allocates nothing here but
-// the copy of an enqueued payload (the queue keeps the element). A
-// buffer grown past 64 KiB by a large frame is dropped once that frame
-// is served, so an idle connection never pins more than that.
+// with one Write. A buffer grown past 64 KiB by a large frame is dropped
+// once that frame is served, so an idle connection never pins more than
+// that.
+//
+// What a request allocates: the queue keeps an enqueued payload, so the
+// server copies it out of the read buffer. A payload of at most
+// maxCarved bytes is carved from a slabChunk-byte chunk the connection's
+// session on that queue fills in order; the queue is FIFO, so a chunk is
+// free once its last element is dequeued, and no other queue's elements
+// can pin it. A larger payload is copied alone. An enqueue-and-wait
+// re-arms its session's completion record (qsvc.Session.EnqueueWait),
+// and a parked consumer sleeps on a reused wake channel, so a plain or
+// armed request allocates nothing here beyond the amortized chunk; the
+// engine's node and the client's copy of a dequeued payload are the
+// allocations the queue semantics need.
 package server
 
 import (
@@ -175,11 +186,37 @@ func (s *Server) acceptLoop(ln net.Listener) {
 type csess struct {
 	q *qsvc.Queue[[]byte]
 	s *qsvc.Session[[]byte]
+	// slab is the unused tail of the chunk payloads are carved from.
+	slab []byte
 }
 
-// maxRetained caps the frame buffers a connection keeps between
-// requests; a larger one is dropped after its frame is served.
-const maxRetained = 64 << 10
+const (
+	// maxRetained caps the frame buffers a connection keeps between
+	// requests; a larger one is dropped after its frame is served.
+	maxRetained = 64 << 10
+	// slabChunk is the size of the chunks small payloads are carved
+	// from, and maxCarved the largest payload carved; a chunk's unused
+	// tail is therefore under maxCarved bytes.
+	slabChunk = 8 << 10
+	maxCarved = 512
+)
+
+// copyPayload copies an enqueued payload out of the connection's read
+// buffer. The copy's capacity ends at its length, so a consumer that
+// appends to it reallocates instead of overwriting its neighbour.
+func (cs *csess) copyPayload(p []byte) []byte {
+	n := len(p)
+	if n == 0 || n > maxCarved {
+		return append([]byte(nil), p...)
+	}
+	if len(cs.slab) < n {
+		cs.slab = make([]byte, slabChunk)
+	}
+	c := cs.slab[:n:n]
+	copy(c, p)
+	cs.slab = cs.slab[n:]
+	return c
+}
 
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
@@ -322,23 +359,22 @@ func (s *Server) serve(sessions map[string]*csess, req *wire.Request) wire.Respo
 		}
 		// Payload aliases the connection's read buffer, which the next
 		// frame overwrites, but enqueue hands it to the queue — copy.
-		payload := append([]byte(nil), req.Payload...)
-		r, err := cs.s.Enqueue(payload, time.Duration(req.DeadlineNs))
-		if err != nil {
-			return errResponse(err)
+		payload := cs.copyPayload(req.Payload)
+		deadline := time.Duration(req.DeadlineNs)
+		if req.Flags&wire.FlagWait == 0 {
+			if _, err := cs.s.Enqueue(payload, deadline); err != nil {
+				return errResponse(err)
+			}
+			return wire.Response{Status: wire.StOK}
 		}
-		if req.Flags&wire.FlagWait != 0 && r != nil {
-			// Deferred completion: the sweep or a consumer decides.
-			// Shutdown also unparks us — the request stays armed for
-			// the registry to resolve, but this handler must exit.
-			select {
-			case <-r.Done():
-				if werr := r.Err(); werr != nil {
-					return errResponse(werr)
-				}
-			case <-s.ctx.Done():
+		// Deferred completion: the sweep or a consumer decides.
+		// Shutdown also unparks us — the request stays armed for the
+		// registry to resolve, but this handler must exit.
+		if err := cs.s.EnqueueWait(s.ctx, payload, deadline); err != nil {
+			if s.ctx.Err() != nil && errors.Is(err, context.Canceled) {
 				return wire.Response{Status: wire.StErr, Payload: []byte("server shutting down")}
 			}
+			return errResponse(err)
 		}
 		return wire.Response{Status: wire.StOK}
 
@@ -359,7 +395,7 @@ func (s *Server) serve(sessions map[string]*csess, req *wire.Request) wire.Respo
 				// Close may land between the empty TryDequeue above and
 				// this probe — that element MUST be delivered, not
 				// dropped (conservation).
-				v, err := cs.s.DequeueCtx(closedProbeCtx())
+				v, err := cs.s.DequeueCtx(closedProbeCtx)
 				switch {
 				case err == nil:
 					return wire.Response{Status: wire.StOK, Payload: v}
@@ -402,12 +438,13 @@ func (s *Server) serve(sessions map[string]*csess, req *wire.Request) wire.Respo
 
 // closedProbeCtx is an already-expired context: DequeueCtx under it
 // performs its bounded direct probes (which on a closed queue resolve
-// drain-vs-element immediately) without ever parking.
-func closedProbeCtx() context.Context {
+// drain-vs-element immediately) without ever parking. It is built once;
+// a done context stays done.
+var closedProbeCtx = func() context.Context {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	cancel()
 	return ctx
-}
+}()
 
 // errResponse maps the typed qsvc/facade errors onto wire statuses.
 func errResponse(err error) wire.Response {

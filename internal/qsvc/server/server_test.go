@@ -593,3 +593,24 @@ func TestServerConcurrentClients(t *testing.T) {
 		}
 	}
 }
+
+// TestCarvedPayloadsStayApart: payloads carved from one slab chunk end
+// at their own length, so appending to one reallocates instead of
+// overwriting the next; a payload over maxCarved is copied alone.
+func TestCarvedPayloadsStayApart(t *testing.T) {
+	var cs csess
+	a := cs.copyPayload([]byte("aaaa"))
+	b := cs.copyPayload([]byte("bbbb"))
+	if cap(a) != len(a) {
+		t.Fatalf("carved copy has capacity %d past its length %d", cap(a), len(a))
+	}
+	_ = append(a, "XXXX"...)
+	if string(b) != "bbbb" {
+		t.Fatalf("appending to one carved payload overwrote its neighbour: %q", b)
+	}
+	big := make([]byte, maxCarved+1)
+	tail := len(cs.slab)
+	if c := cs.copyPayload(big); len(c) != len(big) || len(cs.slab) != tail {
+		t.Fatalf("a %d-byte payload was carved from the slab", len(big))
+	}
+}

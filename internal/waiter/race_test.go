@@ -171,3 +171,57 @@ func TestCloseRacesPrepare(t *testing.T) {
 		t.Fatal("close during the register/recheck window was lost")
 	}
 }
+
+// TestCancelledWaiterDrainsRacedToken stalls a waiter at WQBeforePark —
+// its channel listed — while its context is cancelled and a broadcast
+// sends the channel its token, so the parking select finds both arms
+// ready. Whichever arm it takes, the channel must go back to the free
+// list empty: a waiter that left through ctx drains the token, or the
+// next Wait would take the channel and wake spuriously at once. The
+// select picks between ready arms at random, so the race is repeated
+// until the cancel arm has been taken.
+func TestCancelledWaiterDrainsRacedToken(t *testing.T) {
+	const consumer, producer = 0, 1
+	var ec EventCount
+	cancelled := 0
+	for i := 0; i < 32; i++ {
+		arrived, release, undo := stallAt(t, yield.WQBeforePark, consumer)
+		ctx, cancel := context.WithCancel(context.Background())
+		res := make(chan error, 1)
+		go func() {
+			key := ec.Register()
+			res <- ec.Wait(ctx, key, consumer)
+		}()
+		<-arrived
+		cancel()
+		ec.Notify(producer)
+		close(release)
+		err := <-res
+		undo()
+		if err != nil {
+			cancelled++
+		}
+
+		ec.mu.Lock()
+		nfree, nparked := len(ec.free), len(ec.parked)
+		leftover := len(ec.free[nfree-1])
+		ec.mu.Unlock()
+		if nfree != 1 || nparked != 0 || leftover != 0 {
+			t.Fatalf("after the race: %d free, %d parked, %d tokens left in the free channel; want 1, 0, 0", nfree, nparked, leftover)
+		}
+
+		// The next park takes the same channel and must sleep until its
+		// own deadline, not wake on a stale token.
+		ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		key := ec.Register()
+		err = ec.Wait(ctx2, key, consumer)
+		cancel2()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("next Wait returned %v, want its deadline: a stale token woke it", err)
+		}
+	}
+	if cancelled == 0 {
+		t.Fatal("the parking select never took the cancel arm")
+	}
+	t.Logf("cancel arm taken in %d of 32 races", cancelled)
+}

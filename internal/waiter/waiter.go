@@ -24,6 +24,18 @@
 // operations are sequentially consistent, which is exactly the fence
 // strength it needs.
 //
+// # Wake channels
+//
+// A parked waiter sleeps on its own capacity-1 channel, listed under the
+// eventcount's mutex; a broadcast sends each listed channel one token
+// and empties the list. Channels come from a free list and return to it
+// empty — a waiter that leaves through its context and finds its channel
+// already unlisted drains the token the broadcast sent — so once the
+// free list holds as many channels as waiters ever park at once, parking
+// and waking allocate nothing. Channels are not keyed by tid: a released
+// lease's parked waiter and the tid's next holder can be parked at once,
+// and one broadcast must wake both.
+//
 // # Progress
 //
 // The producer side is wait-free: one atomic load when no waiter is
@@ -51,10 +63,11 @@ const sepBytes = 128
 
 // EventCount is the parking primitive: a sequence number producers bump
 // when they publish work, a waiter count producers probe to skip the
-// broadcast entirely when nobody sleeps, and a broadcast channel
-// replaced wholesale on every wake (the close-and-replace idiom, so a
-// single notify wakes every current waiter and is never "used up" by a
-// stale one).
+// broadcast entirely when nobody sleeps, and the list of parked
+// waiters' wake channels a broadcast signals and empties. Each parked
+// waiter owns its channel for the length of one park; channels come
+// from a free list and go back to it empty, so a warmed EventCount
+// parks and wakes without allocating.
 type EventCount struct {
 	// seq counts notifications. A consumer snapshots it (the "key")
 	// before its final empty recheck; Wait refuses to park if seq moved,
@@ -70,7 +83,11 @@ type EventCount struct {
 	_       [sepBytes - 4]byte
 
 	mu sync.Mutex
-	ch chan struct{} // current epoch's broadcast channel (lazily made)
+	// parked holds the wake channel (capacity 1) of every waiter parked
+	// on the current seq; broadcast sends each one token and empties it.
+	parked []chan struct{}
+	// free holds empty wake channels for the next parks.
+	free []chan struct{}
 }
 
 // Register announces the caller as a waiter and returns the wait key.
@@ -103,23 +120,54 @@ func (e *EventCount) Wait(ctx context.Context, key uint64, tid int) error {
 		e.waiters.Add(-1)
 		return nil
 	}
-	if e.ch == nil {
-		e.ch = make(chan struct{})
+	var ch chan struct{}
+	if n := len(e.free); n > 0 {
+		ch = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ch = make(chan struct{}, 1)
 	}
-	ch := e.ch
+	e.parked = append(e.parked, ch)
 	e.mu.Unlock()
 
 	yield.At(yield.WQBeforePark, tid, -1)
+	var err error
 	select {
 	case <-ch:
-		e.waiters.Add(-1)
-		yield.At(yield.WQAfterWake, tid, -1)
-		return nil
 	case <-ctx.Done():
-		e.waiters.Add(-1)
-		yield.At(yield.WQAfterWake, tid, -1)
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	e.waiters.Add(-1)
+	yield.At(yield.WQAfterWake, tid, -1)
+	e.mu.Lock()
+	if err != nil && !e.unpark(ch) {
+		// A broadcast took ch off the list, so it sent the token under
+		// mu before we got here: drain it, or the next park on this
+		// channel would wake at once.
+		select {
+		case <-ch:
+		default:
+		}
+	}
+	e.free = append(e.free, ch)
+	e.mu.Unlock()
+	return err
+}
+
+// unpark removes ch from the parked list; false means a broadcast
+// already removed it. Caller holds mu.
+func (e *EventCount) unpark(ch chan struct{}) bool {
+	for i, c := range e.parked {
+		if c == ch {
+			last := len(e.parked) - 1
+			e.parked[i] = e.parked[last]
+			e.parked[last] = nil
+			e.parked = e.parked[:last]
+			return true
+		}
+	}
+	return false
 }
 
 // Notify wakes all current waiters if any are registered. Producers call
@@ -141,17 +189,24 @@ func (e *EventCount) Broadcast() {
 	e.broadcast()
 }
 
-// broadcast bumps seq and retires the current epoch channel. The bump
-// and the channel close happen under mu — the same lock Wait holds while
+// broadcast bumps seq and sends every parked waiter its token. The bump
+// and the sends happen under mu — the same lock Wait holds while
 // deciding to park — so a waiter either sees the new seq (and refuses to
-// park) or captured the channel this close is about to signal.
+// park) or listed its channel before this broadcast, which signals it.
+// A listed channel is empty (it left the free list empty, and only the
+// broadcast that unlists it sends), so every token lands; the sends are
+// non-blocking all the same, so mu is never held across a blocked one.
 func (e *EventCount) broadcast() {
 	e.mu.Lock()
 	e.seq.Add(1)
-	if e.ch != nil {
-		close(e.ch)
-		e.ch = nil
+	for i, ch := range e.parked {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+		e.parked[i] = nil
 	}
+	e.parked = e.parked[:0]
 	e.mu.Unlock()
 }
 

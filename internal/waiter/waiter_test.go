@@ -25,6 +25,14 @@ func awaitWaiter(t *testing.T, ec *EventCount) {
 	}
 }
 
+// parkedCount reports how many waiters are parked (their wake channels
+// listed), as opposed to merely registered.
+func parkedCount(ec *EventCount) int {
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	return len(ec.parked)
+}
+
 // chanSource is a trivial Source: a mutex-guarded slice. Drained is the
 // single-FIFO rule (empty observation is genuine emptiness).
 type chanSource struct {

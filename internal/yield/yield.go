@@ -118,7 +118,7 @@ const (
 	// WQBeforePark fires immediately before the consumer commits to the
 	// channel select that parks it — after the under-lock sequence
 	// recheck passed. A notify arriving here must still wake it (via the
-	// captured epoch channel).
+	// wake channel it listed under the lock).
 	WQBeforePark
 	// WQAfterWake fires right after a parked consumer is woken (by a
 	// notify broadcast, close, or ctx cancellation), before it re-probes

@@ -39,6 +39,13 @@ echo "serve_smoke: server on $ADDR"
 "$BIN/wfqload" -addr "$ADDR" -profile bursty -queue smoke-bursty \
     -rate 8000 -duration 500ms -conns 16 -consumers 2 -depth 128
 
+# Every request armed with a 2 ms deadline, 128 producer connections
+# and one consumer: each connection's session re-arms one completion
+# record per request, and thousands of requests expire into tombstones,
+# under the same per-envelope conservation audit.
+"$BIN/wfqload" -addr "$ADDR" -profile closed -queue smoke-armed \
+    -users 128 -conns 128 -consumers 1 -armed 1 -deadline 2ms -duration 500ms
+
 # The pipeline demo, pointed at the external server.
 go run ./examples/pipeline -addr "$ADDR" -items 5000
 
