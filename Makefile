@@ -26,11 +26,11 @@ bench:
 	go test -run xxx -bench 'Enqueue|Dequeue|Mixed' -benchtime 10x .
 
 # Ring backend acceptance sweep: singles and k=1/k=8 batches against
-# the fast-WF engine (with and without arena) at the host's GOMAXPROCS,
+# the fast-WF engine at the host's GOMAXPROCS,
 # committed as results/BENCH_ring.json and results/BENCH_ring_batch.json.
 bench-ring:
 	tmp=$$(mktemp -d) && P=$$(nproc) && \
-	go run ./cmd/wfqcampaign -variants 'fast WF,fast WF (arena),ring WF' \
+	go run ./cmd/wfqcampaign -variants 'fast WF,ring WF' \
 		-workloads pairs,batchpairs -batch 1,8 -threads 1,2,4,8 -procs $$P \
 		-iters 50000 -repeats 5 -out $$tmp && \
 	mv $$tmp/BENCH_campaign_pairs_g$$P.json results/BENCH_ring.json && \

@@ -132,12 +132,10 @@ func BenchmarkFig10Space(b *testing.B) {
 
 // fastPathSeries are the series the fast-path/slow-path engine is judged
 // against: the lock-free baseline it borrows its fast attempts from, the
-// paper's best wait-free performer it falls back to, the arena-backed
-// build (run with -benchmem: the arena's reason to exist is allocs/op),
-// and the ring-segment backend, whose FAA claim replaces the CAS loop
-// entirely.
+// paper's best wait-free performer it falls back to, and the ring-segment
+// backend, whose FAA claim replaces the CAS loop entirely.
 func fastPathSeries() []harness.Algorithm {
-	return []harness.Algorithm{harness.LF(), harness.OptWF12(), harness.FastWF(), harness.FastWFArena(), harness.RingWF()}
+	return []harness.Algorithm{harness.LF(), harness.OptWF12(), harness.FastWF(), harness.RingWF()}
 }
 
 // runOpsPhase times one single-kind operation phase per b.N iteration:
@@ -239,11 +237,11 @@ func runBatchWorkload(b *testing.B, alg harness.Algorithm, w harness.Workload, t
 
 // BenchmarkEnqueueBatch prices the chained-node append: k elements per
 // EnqueueBatch (k=1 is the all-singles baseline at identical element
-// count) across the fast-path engine with and without the arena, and the
+// count) across the fast-path engine, the ring, and the
 // sharded frontend's per-shard chained fan-out. The per-element speedup
 // from k=1 to k=8 is the issue's acceptance number.
 func BenchmarkEnqueueBatch(b *testing.B) {
-	algs := []harness.Algorithm{harness.FastWF(), harness.FastWFArena(), harness.ShardedWF(), harness.RingWF()}
+	algs := []harness.Algorithm{harness.FastWF(), harness.ShardedWF(), harness.RingWF()}
 	for _, alg := range algs {
 		for _, k := range []int{1, 8, 64} {
 			for _, n := range []int{1, 4} {
@@ -260,7 +258,7 @@ func BenchmarkEnqueueBatch(b *testing.B) {
 // per element by design, so the expected gain is roughly half the
 // enqueue-only one.
 func BenchmarkBatchPairs(b *testing.B) {
-	algs := []harness.Algorithm{harness.FastWF(), harness.FastWFArena(), harness.RingWF()}
+	algs := []harness.Algorithm{harness.FastWF(), harness.RingWF()}
 	for _, alg := range algs {
 		for _, k := range []int{1, 8} {
 			for _, n := range []int{1, 4} {

@@ -1,7 +1,8 @@
 // Command wfqload drives a running wfqserve with closed- or open-loop
 // traffic and verdicts the run: zero lost envelopes, zero duplicated
-// envelopes, expired requests all observed a deadline error. A nonzero
-// exit means conservation was violated.
+// envelopes, zero requests that failed outright, expired requests all
+// observed a deadline error. A nonzero exit means conservation was
+// violated or requests failed.
 //
 // Modes:
 //
@@ -117,7 +118,7 @@ func main() {
 	if *jsonOut != "" {
 		writeJSON(*jsonOut, res)
 	}
-	if res.Lost != 0 || res.Duplicated != 0 {
+	if !passed(res) {
 		os.Exit(1)
 	}
 }
@@ -136,13 +137,22 @@ func report(r *load.Result) {
 	if r.Profile != "closed" {
 		shape = fmt.Sprintf("rate=%.0f/s", r.RateTarget)
 	}
-	fmt.Printf("%-8s %-6s %-14s sent=%-8d delivered=%-8d expired=%-6d rejected=%-6d lost=%d dup=%d  qdelay p50=%v p99=%v  rtt p50=%v p99=%v\n",
+	fmt.Printf("%-8s %-6s %-14s sent=%-8d delivered=%-8d expired=%-6d rejected=%-6d lost=%d dup=%d errors=%d  qdelay p50=%v p99=%v  rtt p50=%v p99=%v\n",
 		r.Profile, r.Backend, shape,
-		r.Sent, r.Received, r.Expired, r.Rejected, r.Lost, r.Duplicated,
+		r.Sent, r.Received, r.Expired, r.Rejected, r.Lost, r.Duplicated, r.Errors,
 		r.QueueDelay.P50, r.QueueDelay.P99, r.EnqueueRTT.P50, r.EnqueueRTT.P99)
 	if r.Lost != 0 || r.Duplicated != 0 {
 		fmt.Fprintf(os.Stderr, "wfqload: CONSERVATION VIOLATED: lost=%d duplicated=%d\n", r.Lost, r.Duplicated)
 	}
+	if r.Errors != 0 {
+		fmt.Fprintf(os.Stderr, "wfqload: %d REQUESTS FAILED\n", r.Errors)
+	}
+}
+
+// passed reports a run's verdict: no envelope lost or duplicated and no
+// request failed outright.
+func passed(r *load.Result) bool {
+	return r.Lost == 0 && r.Duplicated == 0 && r.Errors == 0
 }
 
 // runBench executes the committed snapshot matrix against one server.
@@ -156,7 +166,7 @@ func runBench(addr string, users int, dur time.Duration, jsonOut string) {
 	add := func(cfg load.Config) {
 		res := mustRun(cfg)
 		report(res)
-		if res.Lost != 0 || res.Duplicated != 0 {
+		if !passed(res) {
 			failed = true
 		}
 		rows = append(rows, res)

@@ -38,7 +38,6 @@ func main() {
 		"opt WF (2)":          "wait-free",
 		"opt WF (1+2)":        "wait-free",
 		"fast WF":             "wait-free (lock-free fast path)",
-		"fast WF (arena)":     "wait-free (fast path, arena nodes)",
 		"fast WF+HP":          "wait-free (fast path), no GC needed",
 		"sharded WF":          "wait-free (per-shard FIFO)",
 		"sharded WF+HP":       "wait-free (per-shard FIFO), no GC",

@@ -216,7 +216,7 @@ func (q *Queue[T]) fastDequeueBatch(tid int, dst []T) (n int, empty bool) {
 		yield.At(yield.KPFastBeforeDeqTidCAS, tid, tid)
 		if first.deqTid.CompareAndSwap(noTID, fastTID) {
 			yield.At(yield.KPFastAfterDeqTidCAS, tid, tid)
-			dst[n] = next.value
+			dst[n] = next.take()
 			n++
 			q.met.incFastDeq(tid)
 			q.helpFinishDeq(tid)

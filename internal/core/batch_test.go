@@ -18,7 +18,8 @@ type batchQueue interface {
 
 // batchBuilders covers every configuration whose batch code paths differ:
 // slow chains (no fast path), slow chains with descriptor reuse, fast
-// chains, arena-backed nodes, and both hazard-pointer flavours.
+// chains, small node blocks (a block boundary every few nodes), and both
+// hazard-pointer flavours.
 func batchBuilders(nthreads int) map[string]func() batchQueue {
 	return map[string]func() batchQueue{
 		"base":       func() batchQueue { return New[int64](nthreads) },
@@ -26,15 +27,15 @@ func batchBuilders(nthreads int) map[string]func() batchQueue {
 		"cache":      func() batchQueue { return New[int64](nthreads, WithDescriptorCache(), WithClearOnExit()) },
 		"fast":       func() batchQueue { return New[int64](nthreads, WithFastPath(0)) },
 		"fast-p1":    func() batchQueue { return New[int64](nthreads, WithFastPath(1)) },
-		"fast-arena": func() batchQueue { return New[int64](nthreads, WithFastPath(0), WithArena(8)) },
+		"fast-arena": func() batchQueue { return New[int64](nthreads, WithFastPath(0), withBlock(8)) },
 		"hp":         func() batchQueue { return NewHP[int64](nthreads, 8, 4) },
 		"hp-fast":    func() batchQueue { return NewHP[int64](nthreads, 8, 4, WithFastPath(0)) },
-		"hp-arena":   func() batchQueue { return NewHP[int64](nthreads, 8, 4, WithFastPath(0), WithArena(8)) },
+		"hp-arena":   func() batchQueue { return NewHP[int64](nthreads, 8, 4, WithFastPath(0), withBlock(8)) },
 	}
 }
 
 // TestEnqueueBatchSequentialFIFO drives batches of every interesting
-// width (empty, single, short, longer than an arena block) through each
+// width (empty, single, short, longer than a node block) through each
 // configuration and checks the drain order is the concatenation of the
 // batches.
 func TestEnqueueBatchSequentialFIFO(t *testing.T) {
@@ -221,7 +222,7 @@ func TestBatchMixedStress(t *testing.T) {
 	const nthreads, k = 4, 4
 	batches := stressSize(500)
 	builders := map[string]func() batchQueue{
-		"fast-p1":  func() batchQueue { return New[int64](2*nthreads, WithFastPath(1), WithArena(0)) },
+		"fast-p1":  func() batchQueue { return New[int64](2*nthreads, WithFastPath(1), withBlock(3)) },
 		"hp-fast1": func() batchQueue { return NewHP[int64](2*nthreads, 8, 4, WithFastPath(1)) },
 	}
 	for name, build := range builders {
@@ -458,10 +459,10 @@ func TestDequeueBatchRacesChainAppend(t *testing.T) {
 }
 
 // TestBatchMetricsAndArenaStats pins the observability surface: batch
-// counters account elements and invocations, and arena-backed queues
-// report block/get traffic.
+// counters account elements and invocations, and the node blocks report
+// block/get traffic.
 func TestBatchMetricsAndArenaStats(t *testing.T) {
-	q := New[int64](2, WithMetrics(), WithArena(4))
+	q := New[int64](2, WithMetrics(), withBlock(4))
 	q.EnqueueBatch(0, []int64{1, 2, 3, 4, 5})
 	q.EnqueueBatch(0, []int64{6}) // width 1 routes to Enqueue, not the batch path
 	q.EnqueueBatch(0, nil)        // no-op
@@ -484,6 +485,6 @@ func TestBatchMetricsAndArenaStats(t *testing.T) {
 		t.Fatalf("arena blocks = %d, want 2", blocks)
 	}
 	if b, g := New[int64](1).ArenaStats(); b != 0 || g != 0 {
-		t.Fatalf("no-arena ArenaStats = %d/%d, want 0/0", b, g)
+		t.Fatalf("fresh queue ArenaStats = %d/%d, want 0/0 (no block before the first enqueue)", b, g)
 	}
 }

@@ -26,7 +26,7 @@ func FuzzBatchCore(f *testing.F) {
 			New[int64](n),
 			New[int64](n, WithVariant(VariantOpt12), WithDescriptorCache()),
 			New[int64](n, WithFastPath(0)),
-			New[int64](n, WithFastPath(0), WithArena(4)),
+			New[int64](n, WithFastPath(0), withBlock(4)),
 			NewHP[int64](n, 8, 2, WithFastPath(0)),
 		}
 		var ref model.Queue

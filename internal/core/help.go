@@ -89,7 +89,7 @@ func (q *Queue[T]) Dequeue(tid int) (v T, ok bool) {
 		}
 		return v, false
 	}
-	v = n.next.Load().value // Line 107: value of the node after the old sentinel
+	v = n.next.Load().take() // Line 107: value of the node after the old sentinel
 	if q.clearOnExit {
 		q.clearDesc(tid, ph, false)
 	}
@@ -159,7 +159,7 @@ func (q *Queue[T]) fastDequeue(tid int) (v T, ok, done bool) {
 		yield.At(yield.KPFastBeforeDeqTidCAS, tid, tid)
 		if first.deqTid.CompareAndSwap(noTID, fastTID) {
 			yield.At(yield.KPFastAfterDeqTidCAS, tid, tid)
-			v = next.value
+			v = next.take()
 			// Fix head past the claimed sentinel (helpers racing on
 			// the same sentinel do the same and tolerate fastTID).
 			q.helpFinishDeq(tid)

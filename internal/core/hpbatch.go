@@ -15,8 +15,8 @@ import "wfq/internal/yield"
 
 // EnqueueBatch inserts vs in order, occupying consecutive positions in
 // the FIFO. One descriptor publish at most, one linearizing append CAS
-// always; nodes come from the per-thread pool (arena-backed when the
-// queue was built with WithArena).
+// always; nodes come from the per-thread pool, whose misses are served
+// from the thread's node block.
 func (q *HPQueue[T]) EnqueueBatch(tid int, vs []T) {
 	q.checkTid(tid)
 	switch len(vs) {

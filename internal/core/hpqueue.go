@@ -48,11 +48,10 @@ type HPQueue[T any] struct {
 	// every operation straight to the helping protocol.
 	patience int
 
-	dom   *hazard.Domain[node[T]]
+	dom *hazard.Domain[node[T]]
+	// nodes recycles retired nodes per thread; a miss bump-allocates
+	// from the thread's block.
 	nodes *pool.Pool[node[T]]
-	// arena is non-nil when WithArena is set; it backs the pool's miss
-	// path (recycling still goes through the per-thread free lists).
-	arena *pool.Arena[node[T]]
 }
 
 // paddedPtr isolates the head/tail words on their own cache-line pairs
@@ -69,15 +68,15 @@ const hpSlots = 2
 // NewHP creates a hazard-pointer-backed queue for up to nthreads threads.
 // poolCap bounds each thread's free list (<=0 selects the pool default);
 // scanThreshold tunes the hazard domain (<=0 selects Michael's 2·K·n).
-// Of the Queue options only WithFastPath and WithArena are honoured (the
-// HP queue's helping structure is fixed to the base algorithm's); with
-// WithArena the node pool's miss path bump-allocates from per-thread
-// blocks instead of making individual heap allocations.
+// Of the Queue options only WithFastPath is honoured (the HP queue's
+// helping structure is fixed to the base algorithm's). The node pool's
+// miss path bump-allocates from per-thread blocks of nodeBlock nodes
+// instead of making individual heap allocations.
 func NewHP[T any](nthreads, poolCap, scanThreshold int, opts ...Option) *HPQueue[T] {
 	if nthreads <= 0 {
 		panic("core: nthreads must be positive")
 	}
-	var cfg config
+	cfg := config{block: nodeBlock}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -86,12 +85,7 @@ func NewHP[T any](nthreads, poolCap, scanThreshold int, opts ...Option) *HPQueue
 		nthr:     nthreads,
 		patience: cfg.patience,
 	}
-	if cfg.arena {
-		q.arena = pool.NewArena[node[T]](nthreads, cfg.arenaBlock)
-		q.nodes = pool.NewWithArena[node[T]](nthreads, poolCap, q.arena)
-	} else {
-		q.nodes = pool.New[node[T]](nthreads, poolCap, func() *node[T] { return &node[T]{} })
-	}
+	q.nodes = pool.NewWithArena[node[T]](nthreads, poolCap, cfg.block)
 	q.dom = hazard.NewDomain[node[T]](nthreads, hpSlots, scanThreshold, func(tid int, n *node[T]) {
 		q.nodes.Put(tid, n)
 	})
@@ -121,15 +115,6 @@ func (q *HPQueue[T]) Domain() *hazard.Domain[node[T]] { return q.dom }
 
 // PoolStats reports the node pool's (reuse hits, allocations, drops).
 func (q *HPQueue[T]) PoolStats() (hits, misses, drops int64) { return q.nodes.Stats() }
-
-// ArenaStats reports (blocks allocated, nodes handed out) of the node
-// arena; zeros unless the queue was built with WithArena.
-func (q *HPQueue[T]) ArenaStats() (blocks, gets int64) {
-	if q.arena == nil {
-		return 0, 0
-	}
-	return q.arena.Stats()
-}
 
 func (q *HPQueue[T]) checkTid(tid int) {
 	if tid < 0 || tid >= q.nthr {

@@ -44,6 +44,18 @@ func newNode[T any](v T, enqTid int32) *node[T] {
 	return n
 }
 
+// take returns the node's value and clears the field, so the node's
+// allocation block, which stays live while any of its nodes is, does not
+// also keep dequeued values live. Only the dequeue that claimed the
+// preceding sentinel may call it: on the GC variant that claimant is the
+// value's only reader, so nothing can observe the cleared field.
+func (n *node[T]) take() T {
+	v := n.value
+	var zero T
+	n.value = zero
+	return v
+}
+
 // reset reinitializes a recycled node for reuse by the hazard-pointer
 // variant. The caller must own the node exclusively (it came from a
 // per-thread pool after a hazard scan proved it unreachable).

@@ -13,7 +13,7 @@ import (
 // field change silently alters a struct size.
 var (
 	_ = [1]struct{}{}[unsafe.Sizeof(paddedDesc[int64]{})-sepBytes]
-	_ = [1]struct{}{}[unsafe.Sizeof(paddedCursor{})-sepBytes]
+	_ = [1]struct{}{}[unsafe.Sizeof(paddedCursor[int64]{})-sepBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(descCacheSlot[int64]{})-sepBytes]
 	_ = [1]struct{}{}[unsafe.Sizeof(paddedPtr[int64]{})-sepBytes]
 	// metricCounters outgrew one separation unit when the batch and
@@ -31,7 +31,7 @@ func TestPaddedStructSizes(t *testing.T) {
 		want uintptr
 	}{
 		{"paddedDesc", unsafe.Sizeof(paddedDesc[int64]{}), sepBytes},
-		{"paddedCursor", unsafe.Sizeof(paddedCursor{}), sepBytes},
+		{"paddedCursor", unsafe.Sizeof(paddedCursor[int64]{}), sepBytes},
 		{"descCacheSlot", unsafe.Sizeof(descCacheSlot[int64]{}), sepBytes},
 		{"paddedPtr", unsafe.Sizeof(paddedPtr[int64]{}), sepBytes},
 		{"metricCounters", unsafe.Sizeof(metricCounters{}), 2 * sepBytes},

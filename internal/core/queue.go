@@ -64,8 +64,7 @@ type config struct {
 	variant     Variant
 	helpChunk   int
 	patience    int
-	arenaBlock  int
-	arena       bool
+	block       int
 	helpTree    bool
 	helpTreeSet bool
 	randomHelp  bool
@@ -173,21 +172,12 @@ func WithDescriptorCache() Option { return func(c *config) { c.descCache = true 
 // fetch-and-add alternative §3.3 mentions).
 func WithPhaseProvider(p phase.Provider) Option { return func(c *config) { c.phases = p } }
 
-// WithArena makes the queue block-allocate its nodes from a per-thread
-// arena (internal/pool.Arena) instead of one heap allocation per node:
-// each thread fills private segments of blockSize nodes (<=0 selects
-// pool.DefaultArenaBlock, 64), so steady-state allocs/op drop to roughly
-// 1/blockSize. Arena nodes are never reused, so every pointer-equality
-// argument of the GC variant is unchanged; on the HP variant the arena
-// backs the node pool's miss path and recycling still goes through the
-// free lists. The cost is allocation granularity: a block is garbage-
-// collected only when all blockSize nodes in it are unreachable.
-func WithArena(blockSize int) Option {
-	return func(c *config) {
-		c.arena = true
-		c.arenaBlock = blockSize
-	}
-}
+// nodeBlock is the number of nodes in each thread's allocation block:
+// one heap allocation per nodeBlock enqueues. 16 nodes of a word-sized
+// element make a 512-byte block. Blocks of 1 KiB and more measurably
+// raise the peak heap, because a block stays live while any of its nodes
+// is (EXPERIMENTS.md, "Node blocks").
+const nodeBlock = 16
 
 // sepBytes is the false-sharing separation unit for the hot per-thread
 // and head/tail words: two cache lines, not one, because the adjacent-
@@ -203,12 +193,16 @@ type paddedDesc[T any] struct {
 	_ [sepBytes - 8]byte
 }
 
-// paddedCursor is a per-thread helping cursor for VariantOpt1/Opt12.
-// With WithRandomHelping, rng replaces the cyclic index.
-type paddedCursor struct {
-	i   int
-	rng xrand.SplitMix64
-	_   [sepBytes - 16]byte
+// paddedCursor holds a thread's private cursors: the helping cursor for
+// VariantOpt1/Opt12 (with WithRandomHelping, rng replaces the cyclic
+// index), the node allocation block, and the next thread whose block
+// the sweep visits.
+type paddedCursor[T any] struct {
+	i     int
+	rng   xrand.SplitMix64
+	nodes pool.Arena[node[T]]
+	sweep int
+	_     [sepBytes - 64]byte
 }
 
 // descCacheSlot holds one reusable, never-published descriptor per thread.
@@ -240,12 +234,14 @@ type Queue[T any] struct {
 	_           [sepBytes - 4]byte
 	// state is the per-thread operation-descriptor array (Line 26).
 	state []paddedDesc[T]
-	// cursor drives cyclic help-one candidate selection (VariantOpt1).
-	cursor []paddedCursor
+	// cursor drives cyclic help-one candidate selection (VariantOpt1)
+	// and holds each thread's node block.
+	cursor []paddedCursor[T]
 	// cache holds reusable failed-CAS descriptors (WithDescriptorCache).
 	cache []descCacheSlot[T]
 
 	nthreads  int
+	block     int // nodes per allocation block: nodeBlock outside tests
 	variant   Variant
 	helpChunk int
 	// patience is the fast-path attempt bound; 0 disables the fast path
@@ -259,9 +255,6 @@ type Queue[T any] struct {
 	met *Metrics
 	// phases is non-nil for VariantOpt2/Opt12.
 	phases phase.Provider
-	// arena is non-nil when WithArena is set; nodes then come from
-	// per-thread bump-allocated blocks instead of individual allocations.
-	arena *pool.Arena[node[T]]
 	// tree is non-nil when the helptree announcement structure is
 	// attached (WithHelpTree; default for VariantFast) — see help().
 	tree *helptree.Tree
@@ -273,7 +266,7 @@ func New[T any](nthreads int, opts ...Option) *Queue[T] {
 	if nthreads <= 0 {
 		panic("core: nthreads must be positive")
 	}
-	cfg := config{helpChunk: 1}
+	cfg := config{helpChunk: 1, block: nodeBlock}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -292,8 +285,9 @@ func New[T any](nthreads int, opts ...Option) *Queue[T] {
 	}
 	q := &Queue[T]{
 		state:       make([]paddedDesc[T], nthreads),
-		cursor:      make([]paddedCursor, nthreads),
+		cursor:      make([]paddedCursor[T], nthreads),
 		nthreads:    nthreads,
+		block:       cfg.block,
 		variant:     cfg.variant,
 		helpChunk:   cfg.helpChunk,
 		patience:    cfg.patience,
@@ -307,9 +301,6 @@ func New[T any](nthreads int, opts ...Option) *Queue[T] {
 	}
 	if cfg.metrics {
 		q.met = newMetrics(nthreads)
-	}
-	if cfg.arena {
-		q.arena = pool.NewArena[node[T]](nthreads, cfg.arenaBlock)
 	}
 	if cfg.descCache {
 		q.cache = make([]descCacheSlot[T], nthreads)
@@ -434,26 +425,35 @@ func (q *Queue[T]) newDesc(caller int, ph int64, pending, enqueue bool, n, chain
 	return &opDesc[T]{phase: ph, pending: pending, enqueue: enqueue, node: n, chainTail: chain}
 }
 
-// allocNode builds a node for thread tid's enqueue: bump-allocated from
-// the arena when WithArena is on, an individual allocation otherwise.
+// allocNode builds a node for thread tid's enqueue, bump-allocated from
+// the thread's block. Block memory is zeroed, so next is already nil,
+// but a zero deqTid would read as "claimed by thread 0".
+//
+// Each new block pays for one step of a second-chance sweep over the
+// threads' blocks. A block whose thread made no enqueue between two
+// visits is dropped: otherwise an idle thread's block, through its
+// dequeued nodes' next pointers, would keep every node enqueued after
+// them reachable (ALGORITHM.md, "Node blocks").
 func (q *Queue[T]) allocNode(tid int, v T, enqTid int32) *node[T] {
-	if q.arena != nil {
-		n := q.arena.Get(tid)
-		// Fresh arena memory is zeroed, but a zero deqTid would read as
-		// "claimed by thread 0" — reset installs the -1 sentinels.
-		n.reset(v, enqTid)
-		return n
+	c := &q.cursor[tid]
+	n, fresh := c.nodes.Get(q.block)
+	if fresh {
+		q.cursor[c.sweep].nodes.Reclaim()
+		c.sweep = (c.sweep + 1) % q.nthreads
 	}
-	return newNode(v, enqTid)
+	n.value, n.enqTid = v, enqTid
+	n.deqTid.Store(noTID)
+	return n
 }
 
-// ArenaStats reports (blocks allocated, nodes handed out) of the node
-// arena; zeros unless the queue was built with WithArena.
+// ArenaStats reports (blocks allocated, nodes handed out) summed over the
+// threads' node blocks.
 func (q *Queue[T]) ArenaStats() (blocks, gets int64) {
-	if q.arena == nil {
-		return 0, 0
+	for i := range q.cursor {
+		b, g := q.cursor[i].nodes.Stats()
+		blocks, gets = blocks+b, gets+g
 	}
-	return q.arena.Stats()
+	return blocks, gets
 }
 
 // recycleDesc returns a descriptor whose install-CAS failed (and which was

@@ -101,17 +101,6 @@ func FastWF() Algorithm {
 	}}
 }
 
-// FastWFArena is fast WF backed by the arena node allocator: slow-path
-// (and batch-chain) nodes come from per-thread bump-allocated blocks
-// instead of individual makes. The allocs/op delta against FastWF is the
-// arena's whole value proposition; see results/BENCH_batch.json.
-func FastWFArena() Algorithm {
-	return Algorithm{Name: "fast WF (arena)", New: func(n int) queues.Queue {
-		return core.New[int64](n, core.WithFastPath(0), core.WithArena(0),
-			core.WithDescriptorCache(), core.WithMetrics())
-	}}
-}
-
 // RingWF is the ring-segment storage backend (internal/ring): contiguous
 // FAA-claimed slot segments instead of linked nodes — the cache-shaped
 // engine. Single FIFO, zero steady-state allocations, wait-free: after
@@ -154,10 +143,10 @@ func BlockingRingWF() Algorithm {
 }
 
 // FastWFHP is the fast-path engine on the hazard-pointer variant
-// (extended benchmarks only). Its pool miss path is arena-backed.
+// (extended benchmarks only).
 func FastWFHP() Algorithm {
 	return Algorithm{Name: "fast WF+HP", New: func(n int) queues.Queue {
-		return core.NewHP[int64](n, 0, 0, core.WithFastPath(0), core.WithArena(0))
+		return core.NewHP[int64](n, 0, 0, core.WithFastPath(0))
 	}}
 }
 
@@ -192,7 +181,7 @@ func ShardedWF() Algorithm {
 func ShardedWFHP() Algorithm {
 	return Algorithm{Name: "sharded WF+HP", Shards: shardedDefault, New: func(n int) queues.Queue {
 		return newSharded(n, func() sharded.Shard[int64] {
-			return core.NewHP[int64](n, 0, 0, core.WithFastPath(0), core.WithArena(0))
+			return core.NewHP[int64](n, 0, 0, core.WithFastPath(0))
 		})
 	}}
 }
@@ -308,7 +297,7 @@ func Figure9Algorithms() []Algorithm {
 func AllAlgorithms() []Algorithm {
 	return []Algorithm{
 		LF(), BaseWF(), OptWF1(), OptWF2(), OptWF12(), FastWF(),
-		FastWFArena(), RingWF(), RingLF(), ShardedWF(), ShardedRingWF(),
+		RingWF(), RingLF(), ShardedWF(), ShardedRingWF(),
 		BlockingWF(), BlockingShardedWF(), BlockingRingWF(),
 		OptWF12Random(), BaseWFClear(), WFHP(),
 		FastWFHP(), ShardedWFHP(), LFHP(), Universal(), TwoLock(), Mutex(),

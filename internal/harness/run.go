@@ -130,8 +130,8 @@ type Result struct {
 	// measured window (read outside it, so they do not perturb timing)
 	// divided by the total operation count Threads·Iters·OpsPerIter.
 	// They charge everything allocated during the window — nodes,
-	// descriptors, GC assists — which is exactly the number the arena
-	// and descriptor-cache options exist to shrink.
+	// descriptors, GC assists — which is exactly the number node blocks
+	// and the descriptor cache exist to shrink.
 	AllocsPerOp float64
 	BytesPerOp  float64
 	// GOMAXPROCS is the effective runtime.GOMAXPROCS DURING the measured

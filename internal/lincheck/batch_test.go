@@ -86,7 +86,8 @@ func recordBatchHistory(q batchQueue, threads, ops, maxK int, seed uint64) []Op 
 // operations: concurrent histories mixing chained batch enqueues,
 // multi-claim batch dequeues and singles must linearize against the
 // single-FIFO specification on every core configuration whose batch code
-// paths differ (slow chains, fast chains, arena nodes, hazard pointers).
+// paths differ (slow chains, fast chains, patience-1 fallbacks that
+// re-own block-allocated chains, hazard pointers).
 func TestBatchHistoriesLinearizable(t *testing.T) {
 	const threads, ops, maxK, rounds = 3, 6, 4, 10
 	builders := map[string]func() batchQueue{
@@ -97,7 +98,7 @@ func TestBatchHistoriesLinearizable(t *testing.T) {
 			return core.New[int64](threads, core.WithFastPath(0))
 		},
 		"fast-patience1-arena": func() batchQueue {
-			return core.New[int64](threads, core.WithFastPath(1), core.WithArena(0))
+			return core.New[int64](threads, core.WithFastPath(1))
 		},
 		"fast-hp": func() batchQueue {
 			return core.NewHP[int64](threads, 0, 0, core.WithFastPath(0))

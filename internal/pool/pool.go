@@ -9,18 +9,20 @@
 // operations with no contention. The hazard domain's recycle callback runs
 // on the retiring thread, which is exactly the list owner, so ownership is
 // never violated. A thread whose list is empty falls back to heap
-// allocation through the New callback (or through an Arena when attached
-// with NewWithArena), and lists are capped so a thread that mostly
+// allocation through the New callback (or through its own Arena when
+// built with NewWithArena), and lists are capped so a thread that mostly
 // dequeues cannot hoard unbounded garbage.
 //
 // # Arena ownership rules
 //
-// An Arena hands out pointers into per-thread blocks of blockSize
-// elements, advancing a private cursor; it never reuses or reclaims an
-// element. The rules its users must follow:
+// An Arena is one thread's cursor into a private block of elements; it
+// hands out pointers into the block, never reuses or reclaims an
+// element, and takes a fresh block when the current one is used up. The
+// rules its users must follow:
 //
-//  1. Arena.Get(tid) may only be called by the thread owning tid — the
-//     cursor is unsynchronized by design.
+//  1. An Arena belongs to one thread, and only that thread may call its
+//     Get — the cursor is unsynchronized by design. Reclaim, which only
+//     ever drops the arena's reference to its block, is for any thread.
 //  2. An element obtained from Get is exclusively owned by the caller
 //     until the caller publishes it; it starts zeroed (fresh Go heap
 //     memory) and the caller must initialize any field whose zero value
@@ -28,7 +30,8 @@
 //     "unclaimed" sentinel is -1, not 0).
 //  3. Elements are never returned to the Arena. On the GC variant they
 //     simply become garbage once unreachable — the whole block is freed
-//     when every element in it is; on the HP variant retired nodes go
+//     when every element in it is and the Arena has moved on to a later
+//     block or dropped it; on the HP variant retired nodes go
 //     back to the Pool free list, and the Arena only backs the pool's
 //     miss path. This no-reuse discipline is what keeps pointer-equality
 //     (ABA) reasoning on the GC variant trivial: an arena pointer is
@@ -38,14 +41,20 @@
 //     is for bulk node traffic, not for hot shared control words.
 package pool
 
+import (
+	"sync/atomic"
+	"unsafe"
+)
+
 // Pool is a set of per-thread free lists of *T.
 type Pool[T any] struct {
 	// New allocates a fresh object when the caller's free list is
 	// empty. Must be non-nil.
 	New func() *T
-	// arena, when non-nil, serves free-list misses instead of New —
-	// block allocation on the slow path, reuse on the fast path.
-	arena *Arena[T]
+	// block, when positive, makes each thread's arena serve its
+	// free-list misses instead of New: block allocation on the slow
+	// path, reuse on the fast path.
+	block int
 	// cap limits each thread's list length; surplus Puts are dropped
 	// (left to the garbage collector).
 	cap   int
@@ -56,6 +65,7 @@ type Pool[T any] struct {
 
 type freeList[T any] struct {
 	items []*T
+	arena Arena[T]
 	_     [64]byte
 }
 
@@ -86,15 +96,16 @@ func New[T any](nthreads, capacity int, alloc func() *T) *Pool[T] {
 	}
 }
 
-// NewWithArena is New with the miss path served by arena instead of the
-// alloc callback: a thread whose free list is empty bump-allocates from
-// its arena block rather than making an individual heap allocation.
-func NewWithArena[T any](nthreads, capacity int, arena *Arena[T]) *Pool[T] {
-	if arena == nil {
-		panic("pool: arena must be non-nil")
+// NewWithArena is New with the miss path served by a per-thread Arena
+// of block elements instead of an alloc callback: a thread whose free
+// list is empty bump-allocates from its arena block rather than making
+// an individual heap allocation.
+func NewWithArena[T any](nthreads, capacity, block int) *Pool[T] {
+	if block <= 0 {
+		panic("pool: block must be positive")
 	}
 	p := New[T](nthreads, capacity, func() *T { panic("pool: arena-backed pool must not call New") })
-	p.arena = arena
+	p.block = block
 	return p
 }
 
@@ -111,8 +122,9 @@ func (p *Pool[T]) Get(tid int) *T {
 		return x
 	}
 	p.misses[tid].n++
-	if p.arena != nil {
-		return p.arena.Get(tid)
+	if p.block > 0 {
+		x, _ := l.arena.Get(p.block)
+		return x
 	}
 	return p.New()
 }
@@ -142,70 +154,63 @@ func (p *Pool[T]) Stats() (hits, misses, drops int64) {
 // Size reports the current length of tid's free list.
 func (p *Pool[T]) Size(tid int) int { return len(p.lists[tid].items) }
 
-// DefaultArenaBlock is the block size an Arena uses when none is given:
-// 64 elements per block amortizes one heap allocation over 64 Gets while
-// keeping per-thread over-allocation (at most one partial block) small.
-const DefaultArenaBlock = 64
-
-// Arena is a per-thread block ("segment") bump allocator: each thread
-// fills a private block of blockSize elements through a private cursor
-// and takes a fresh block when it runs out. See the package comment for
-// the ownership rules. The zero Arena is invalid; use NewArena.
+// Arena is one thread's block ("segment") bump allocator: Get hands out
+// the elements of a private block one at a time and allocates the next
+// block when the current one is used up, so a thread makes one heap
+// allocation per block instead of one per element. See the package
+// comment for the ownership rules. The zero Arena is ready to use; it
+// allocates nothing until its first Get.
 type Arena[T any] struct {
-	blockSize int
-	threads   []arenaThread[T]
-}
-
-// arenaThread is one thread's cursor state, padded so neighbouring
-// threads' cursors do not false-share.
-type arenaThread[T any] struct {
-	block []T
-	cur   int
-	// blocks and gets are the thread's allocation counters (owner-written,
-	// racily summed by Stats).
+	// base is the first element of the current block: nil before the
+	// first Get and after Reclaim dropped the block. It is the arena's
+	// only reference to the block, so a dropped block is garbage once
+	// the elements handed out from it are.
+	base atomic.Pointer[T]
+	// next indexes the block's next free element (owner-only).
+	next int
+	// used is set by Get and cleared by Reclaim: a block survives one
+	// Reclaim without Gets, not two.
+	used atomic.Bool
+	// blocks and gets count the allocation traffic (owner-written,
+	// racily read by Stats).
 	blocks, gets int64
-	// pad the 48 bytes of state to the two-cache-line separation unit
-	// used throughout the repository (adjacent-cacheline prefetcher).
-	_ [128 - 48]byte
 }
 
-// NewArena creates an arena for nthreads threads with the given block
-// size (<=0 selects DefaultArenaBlock).
-func NewArena[T any](nthreads, blockSize int) *Arena[T] {
-	if nthreads <= 0 {
-		panic("pool: nthreads must be positive")
+// Get returns a zeroed *T from the current block of block elements,
+// starting a new block, and reporting fresh, when the current one is
+// used up or was dropped. Only the owning thread may call it (rule 1);
+// the element is never reclaimed by the arena (rule 3). Every call on
+// one Arena must pass the same block.
+func (a *Arena[T]) Get(block int) (x *T, fresh bool) {
+	b := a.base.Load()
+	if b == nil || a.next == block {
+		s := make([]T, block)
+		b, a.next, fresh = &s[0], 0, true
+		a.base.Store(b)
+		a.blocks++
 	}
-	if blockSize <= 0 {
-		blockSize = DefaultArenaBlock
+	if !a.used.Load() {
+		a.used.Store(true)
 	}
-	return &Arena[T]{blockSize: blockSize, threads: make([]arenaThread[T], nthreads)}
+	x = &unsafe.Slice(b, block)[a.next]
+	a.next++
+	a.gets++
+	return x, fresh
 }
 
-// BlockSize reports the configured elements-per-block.
-func (a *Arena[T]) BlockSize() int { return a.blockSize }
-
-// Get returns a zeroed *T owned by thread tid. Only tid's own thread may
-// call it (rule 1); the returned element is never reclaimed by the arena
-// (rule 3).
-func (a *Arena[T]) Get(tid int) *T {
-	t := &a.threads[tid]
-	if t.cur == len(t.block) {
-		t.block = make([]T, a.blockSize)
-		t.cur = 0
-		t.blocks++
+// Reclaim is one visit of a second-chance sweep, and any thread may make
+// it: it drops the current block of an arena whose owner made no Get
+// since the previous visit, and otherwise clears the mark that Get sets.
+// Dropping forfeits the block's unused elements; the owner's next Get
+// starts a new block.
+func (a *Arena[T]) Reclaim() {
+	if a.used.Load() {
+		a.used.Store(false)
+	} else if b := a.base.Load(); b != nil {
+		a.base.CompareAndSwap(b, nil)
 	}
-	x := &t.block[t.cur]
-	t.cur++
-	t.gets++
-	return x
 }
 
-// Stats sums (blocks allocated, elements handed out) over threads. Racy
-// snapshot, like every statistics reader in this repository.
-func (a *Arena[T]) Stats() (blocks, gets int64) {
-	for i := range a.threads {
-		blocks += a.threads[i].blocks
-		gets += a.threads[i].gets
-	}
-	return
-}
+// Stats reports (blocks allocated, elements handed out). Racy snapshot,
+// like every statistics reader in this repository.
+func (a *Arena[T]) Stats() (blocks, gets int64) { return a.blocks, a.gets }

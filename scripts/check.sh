@@ -10,7 +10,15 @@ go test ./...
 # vet and unit-test it here so an API change cannot silently break it.
 go -C bench vet ./...
 go -C bench test -count=1 .
-go test -race ./internal/core/ ./internal/hazard/ ./internal/sharded/ ./internal/ring/ ./internal/harness/
+# Node-block gates, named so they run uncached (they skip under -short):
+# the facade's steady-state pair and construction allocations and the
+# wire allocation gates (their files build without -race, which changes
+# allocation counts), then under the race detector the dequeued-value
+# and idle-block retention tests.
+go test -count=1 -run 'TestHandlePairAllocs|TestConstructionAllocs' .
+go test -count=1 -run 'TestWirePairAllocs|TestWireArmedDeliveryAllocs' ./internal/qsvc/server/
+go test -race -count=1 -run 'TestDequeuedValueCollectable|TestIdleThreadBlockReleased' ./internal/core/
+go test -race ./internal/core/ ./internal/pool/ ./internal/hazard/ ./internal/sharded/ ./internal/ring/ ./internal/harness/
 # Blocking stress under the race detector: the parking layer's lost-
 # wakeup and close/drain interleavings (internal/waiter), plus the
 # facade-level choreographed races, the concurrent close-drain

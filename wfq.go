@@ -92,8 +92,7 @@ type Option func(*config)
 // config is one construction's resolved option list.
 type config struct {
 	core     []core.Option // the linked engines' settings, in order
-	linked   string        // the first linked-engine-only option's name
-	gcOnly   string        // the first option only New's engine honours
+	linked   string        // the first option only New's linked engine honours
 	patience int           // WithFastPath's resolved patience; 0 without it
 	shards   int
 	ringSeg  int
@@ -101,8 +100,8 @@ type config struct {
 	poolCap  int // NewHP's per-thread free-list bound
 }
 
-// link records a setting that only the linked-node engines (New's
-// default engine, NewHP) understand; WithRing rejects it by name.
+// link records a setting that only New's linked-node engine
+// understands; WithRing and NewHP reject it by name.
 func (c *config) link(name string, o core.Option) {
 	c.core = append(c.core, o)
 	if c.linked == "" {
@@ -110,69 +109,51 @@ func (c *config) link(name string, o core.Option) {
 	}
 }
 
-// linkGC records a linked-engine setting that NewHP's engine does not
-// honour either; NewHP rejects it by name.
-func (c *config) linkGC(name string, o core.Option) {
-	c.link(name, o)
-	if c.gcOnly == "" {
-		c.gcOnly = name
-	}
-}
-
 // WithVariant selects an algorithm variant.
 func WithVariant(v Variant) Option {
-	return func(c *config) { c.linkGC("WithVariant", core.WithVariant(v)) }
+	return func(c *config) { c.link("WithVariant", core.WithVariant(v)) }
 }
 
 // WithHelpChunk sets how many state entries an Opt1/Opt12 operation
 // scans for helping candidates (default 1).
 func WithHelpChunk(k int) Option {
-	return func(c *config) { c.linkGC("WithHelpChunk", core.WithHelpChunk(k)) }
+	return func(c *config) { c.link("WithHelpChunk", core.WithHelpChunk(k)) }
 }
 
 // WithRandomHelping switches Opt1/Opt12 helping-candidate choice from
 // cyclic to random (probabilistic wait-freedom, §3.3).
 func WithRandomHelping() Option {
-	return func(c *config) { c.linkGC("WithRandomHelping", core.WithRandomHelping()) }
+	return func(c *config) { c.link("WithRandomHelping", core.WithRandomHelping()) }
 }
 
 // WithClearOnExit makes finished operations drop their node references
 // so completed threads pin no queue memory.
 func WithClearOnExit() Option {
-	return func(c *config) { c.linkGC("WithClearOnExit", core.WithClearOnExit()) }
+	return func(c *config) { c.link("WithClearOnExit", core.WithClearOnExit()) }
 }
 
 // WithDescriptorCache reuses descriptor allocations whose publication
 // CAS failed.
 func WithDescriptorCache() Option {
-	return func(c *config) { c.linkGC("WithDescriptorCache", core.WithDescriptorCache()) }
+	return func(c *config) { c.link("WithDescriptorCache", core.WithDescriptorCache()) }
 }
 
 // WithPhaseProvider overrides the Opt2/Opt12 phase source.
 func WithPhaseProvider(p phase.Provider) Option {
-	return func(c *config) { c.linkGC("WithPhaseProvider", core.WithPhaseProvider(p)) }
+	return func(c *config) { c.link("WithPhaseProvider", core.WithPhaseProvider(p)) }
 }
 
 // WithValidationChecks skips already-satisfied completion CASes (§3.3
 // performance-tuning enhancement).
 func WithValidationChecks() Option {
-	return func(c *config) { c.linkGC("WithValidationChecks", core.WithValidationChecks()) }
+	return func(c *config) { c.link("WithValidationChecks", core.WithValidationChecks()) }
 }
 
 // WithMetrics attaches internal event counters (help traffic, CAS
 // failures); read them via the core Queue's Metrics method when
 // constructing through internal/core directly.
 func WithMetrics() Option {
-	return func(c *config) { c.linkGC("WithMetrics", core.WithMetrics()) }
-}
-
-// WithArena block-allocates queue nodes from per-thread arena segments
-// of blockSize nodes (<= 0 selects the default, 64), so steady-state
-// allocations drop to roughly one per blockSize enqueues. Nodes are
-// never reused on the GC variant, only batched; see internal/pool for
-// the ownership rules.
-func WithArena(blockSize int) Option {
-	return func(c *config) { c.link("WithArena", core.WithArena(blockSize)) }
+	return func(c *config) { c.link("WithMetrics", core.WithMetrics()) }
 }
 
 // WithFastPath selects the Fast variant: up to patience direct
@@ -211,7 +192,7 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // bounded number of fast-path attempts an operation publishes a helping
 // record and peers finish it from its ticket — see ALGORITHM.md,
 // "Wait-free ring helping". Composes with WithShards and WithFastPath;
-// the linked-engine options (WithVariant, WithArena, ...) are rejected,
+// the linked-engine options (WithVariant, WithMetrics, ...) are rejected,
 // and so is WithRing itself on NewHP.
 func WithRing(segSize int) Option {
 	return func(c *config) { c.ring, c.ringSeg = true, segSize }
@@ -292,15 +273,15 @@ func New[T any](maxThreads int, opts ...Option) *Queue[T] {
 // poolCap nodes (0 selects the default) instead of being left to the
 // garbage collector, demonstrating — and testing — the discipline a
 // runtime without GC would need. For ordinary Go use, prefer New. Of
-// the engine options, WithFastPath and WithArena are honoured; it
-// composes with WithShards and panics naming any other option.
+// the engine options only WithFastPath is honoured; it composes with
+// WithShards and panics naming any other option.
 func NewHP[T any](maxThreads, poolCap int, opts ...Option) *Queue[T] {
 	c := resolve(opts)
 	if c.ring {
 		panic("wfq: WithRing does not apply to NewHP")
 	}
-	if c.gcOnly != "" {
-		panic("wfq: " + c.gcOnly + " does not apply to NewHP")
+	if c.linked != "" {
+		panic("wfq: " + c.linked + " does not apply to NewHP")
 	}
 	c.poolCap = poolCap
 	return build(maxThreads, c, newHP[T])
